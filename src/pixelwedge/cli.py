@@ -50,6 +50,16 @@ def parse_corner(text: str) -> tuple[Fraction, Fraction]:
     return parse_rational(x), parse_rational(y)
 
 
+def positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
 def _spec(args) -> AngleSpec:
     (a, b), (c, d) = args.slope1, args.slope2
     x, y = args.corner
@@ -77,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
         if window:
             p.add_argument("--window", type=int, default=None, metavar="W")
         if seeded:
-            p.add_argument("--samples", type=int, default=100000, metavar="N")
+            p.add_argument("--samples", type=positive_int, default=100000, metavar="N")
             p.add_argument("--seed", type=int, default=0, metavar="S")
         p.add_argument("--format", choices=formats, default=default_format)
         p.add_argument("--out", default=None, metavar="PATH")
@@ -196,8 +206,12 @@ def main(argv: list[str] | None = None) -> int:
         # PIXELWEDGE_OUT_DIR supplies the default directory for relative paths
         base = os.environ.get("PIXELWEDGE_OUT_DIR", "")
         path = args.out if os.path.isabs(args.out) or not base else os.path.join(base, args.out)
-        with open(path, "wb") as fh:
-            fh.write(data)
+        try:
+            with open(path, "wb") as fh:
+                fh.write(data)
+        except OSError as exc:
+            print(f"pixelwedge: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()

@@ -156,6 +156,46 @@ def column_interval(
     return lo, hi
 
 
+def window_columns(
+    a: int, b: int, c: int, d: int, alpha: int, beta: int, anchor: PixelIndex, window: int
+) -> list[tuple[int, int, int]]:
+    """Member rows (m, lo, hi), inclusive, of the columns of the
+    (2*window+1)^2 box centred on `anchor`, in increasing m, for integer
+    thresholds alpha and beta; empty columns are left out. `column_interval`
+    is the reference for one column, with the same case split on b and d.
+    """
+    am, an = anchor
+    bottom, top = an - window, an + window
+    cols = []
+    for m in range(am - window, am + window + 1):
+        lo, hi = bottom, top
+        v = a * m - alpha
+        if b > 0:
+            t = v // b
+            if t < hi:
+                hi = t
+        elif b < 0:
+            t = -(v // -b)
+            if t > lo:
+                lo = t
+        elif v < 0:
+            continue
+        v = c * m - beta
+        if d > 0:
+            t = v // d
+            if t < hi:
+                hi = t
+        elif d < 0:
+            t = -(v // -d)
+            if t > lo:
+                lo = t
+        elif v < 0:
+            continue
+        if lo <= hi:
+            cols.append((m, lo, hi))
+    return cols
+
+
 def region_pixels(
     spec: AngleSpec, window: int, anchor: PixelIndex | None = None
 ) -> set[PixelIndex]:
@@ -166,18 +206,11 @@ def region_pixels(
     alpha, beta = angle_thresholds(spec)
     if anchor is None:
         anchor = (floor_exact(spec.corner[0]), floor_exact(spec.corner[1]))
-    am, an = anchor
-    out: set[PixelIndex] = set()
-    for m in range(am - window, am + window + 1):
-        iv = column_interval(spec.a, spec.b, spec.c, spec.d, alpha, beta, m)
-        if iv is None:
-            continue
-        lo, hi = iv
-        lo = an - window if lo is None else max(lo, an - window)
-        hi = an + window if hi is None else min(hi, an + window)
-        for n in range(lo, hi + 1):
-            out.add((m, n))
-    return out
+    # a*m - b*n is an integer, so it is >= alpha iff it is >= ceil(alpha)
+    cols = window_columns(
+        spec.a, spec.b, spec.c, spec.d, ceil_exact(alpha), ceil_exact(beta), anchor, window
+    )
+    return {(m, n) for m, lo, hi in cols for n in range(lo, hi + 1)}
 
 
 # --- segment / polyline digitization -----------------------------------------

@@ -50,11 +50,6 @@ def floor_exact(r: Fraction | int) -> int:
     return math.floor(r)
 
 
-def ceil_div(p: int, q: int) -> int:
-    """ceil(p / q) for integers with q > 0."""
-    return -((-p) // q)
-
-
 def parse_rational(text: str) -> Fraction:
     """Parse "num/den" or a decimal literal to an exact Fraction.
 

@@ -13,8 +13,7 @@ from fractions import Fraction
 
 from .digitize import Point, Slopes
 from .errors import PartitionBoundary
-from .exact import HALF, ceil_exact, floor_exact
-from .shapes import params_apex
+from .exact import ceil_exact, floor_exact
 
 Vec = tuple[Fraction, Fraction]
 
@@ -66,18 +65,21 @@ def partition_unit_square(slopes: Slopes) -> list[Parallelogram]:
     """The D cells, indexed so that corners inside cell j produce class j.
 
     Cell j is the preimage of the unit parameter square whose interior has
-    integerised thresholds (0, j); its base is reduced mod 1.
+    integerised thresholds (0, j); its base, the boundary-line crossing at
+    that square's corner plus (1/2, 1/2), is reduced mod 1 over 2D.
     """
     a, b, c, d = slopes.as_tuple()
+    det = slopes.det
     D = slopes.count
     e1: Vec = (Fraction(b, D), Fraction(a, D))
     e2: Vec = (Fraction(-d, D), Fraction(-c, D))
+    sign = 1 if det > 0 else -1
     cells = []
     for j in range(D):
-        alpha, beta = (0, j) if slopes.det > 0 else (-1, j - 1)
-        ax, ay = params_apex(slopes, alpha, beta)
-        base = ((ax + HALF) % 1, (ay + HALF) % 1)
-        cells.append(Parallelogram(j, base, e1, e2))
+        alpha, beta = (0, j) if det > 0 else (-1, j - 1)
+        x = sign * (2 * (d * alpha - b * beta) + det) % (2 * D)
+        y = sign * (2 * (c * alpha - a * beta) + det) % (2 * D)
+        cells.append(Parallelogram(j, (Fraction(x, 2 * D), Fraction(y, 2 * D)), e1, e2))
     return cells
 
 

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
-from .digitize import AngleSpec, PixelIndex, Slopes, column_interval, angle_thresholds
+from .digitize import AngleSpec, PixelIndex, Slopes, angle_thresholds, window_columns
 from .errors import InvalidAxis, WindowTooSmall
-from .exact import ceil_exact, extended_gcd, floor_exact
+from .exact import ceil_exact, extended_gcd
 
 PixelSet = frozenset  # of (m, n) pixel indices
 
@@ -60,74 +61,36 @@ def class_index(spec: AngleSpec) -> int:
 def equivalent(p1: RegionParams, p2: RegionParams, slopes: Slopes) -> bool:
     """Whether two digitized angles have the same shape (integer translate).
 
-    Closed form: solve k*a - l*b = d_alpha by Bezout; the general solution
-    shifts the second difference by multiples of ad - bc, so equivalence is a
-    single congruence test.
+    Translation shifts the thresholds linearly, so the angles are equivalent
+    iff the difference of their integer thresholds lies in class 0.
     """
-    d_alpha = p1.alpha_ceil - p2.alpha_ceil
-    d_beta = p1.beta_ceil - p2.beta_ceil
-    _, x, y = extended_gcd(slopes.a, slopes.b)
-    k0, l0 = d_alpha * x, d_alpha * y
-    return (d_beta - (k0 * slopes.c - l0 * slopes.d)) % slopes.count == 0
-
-
-def params_apex(slopes: Slopes, alpha, beta) -> tuple[Fraction, Fraction]:
-    """Intersection point of the boundary lines a*m - b*n = alpha,
-    c*m - d*n = beta, in pixel-index coordinates."""
-    det = slopes.b * slopes.c - slopes.a * slopes.d
-    m = Fraction(-slopes.d * alpha + slopes.b * beta, 1) / det
-    n = Fraction(-slopes.c * alpha + slopes.a * beta, 1) / det
-    return m, n
-
-
-def region_anchor(slopes: Slopes, alpha: int, beta: int) -> PixelIndex:
-    """Window anchor for R(alpha, beta): floor of the boundary-line crossing.
-
-    Depends on the region only, and shifts by exactly (k, l) when the region
-    is translated by (k, l), so equivalent regions clip identically.
-    """
-    m, n = params_apex(slopes, alpha, beta)
-    return floor_exact(m), floor_exact(n)
+    return class_of_params(slopes, p1.alpha_ceil - p2.alpha_ceil, p1.beta_ceil - p2.beta_ceil) == 0
 
 
 Columns = tuple[tuple[int, int, int], ...]  # (column, row_lo, row_hi) inclusive
 
 
-def _window_columns(slopes: Slopes, alpha: int, beta: int, window: int) -> tuple[Columns, PixelIndex]:
-    """Absolute per-column pixel intervals of R(alpha, beta) clipped to the
-    anchored window, plus the anchor."""
-    am, an = region_anchor(slopes, alpha, beta)
-    a, b, c, d = slopes.as_tuple()
-    cols = []
-    for m in range(am - window, am + window + 1):
-        iv = column_interval(a, b, c, d, alpha, beta, m)
-        if iv is None:
-            continue
-        lo, hi = iv
-        lo = an - window if lo is None else max(lo, an - window)
-        hi = an + window if hi is None else min(hi, an + window)
-        if lo <= hi:
-            cols.append((m, lo, hi))
-    return tuple(cols), (am, an)
-
-
 def class_fingerprint(slopes: Slopes, alpha: int, beta: int, window: int) -> tuple[Columns, PixelIndex]:
-    """Canonical (translation-normalised) column table of the windowed region
-    and the anchor's position in canonical coordinates.
+    """Canonical (translation-normalised) column table of R(alpha, beta)
+    clipped to the window around its anchor, and the anchor's position in
+    canonical coordinates.
 
-    Equivalent parameter pairs produce identical fingerprints at equal window.
+    The anchor is the floor of the boundary-line crossing. It depends on the
+    region only and shifts by exactly (k, l) when the region is translated by
+    (k, l), so equivalent parameter pairs produce identical fingerprints at
+    equal window.
     """
-    cols, (am, an) = _window_columns(slopes, alpha, beta, window)
+    a, b, c, d = slopes.as_tuple()
+    det = b * c - a * d
+    am = (b * beta - d * alpha) // det
+    an = (a * beta - c * alpha) // det
+    cols = window_columns(a, b, c, d, alpha, beta, (am, an), window)
     if not cols:
         return (), (0, 0)
-    min_m = min(m for m, _, _ in cols)
+    min_m = cols[0][0]
     min_n = min(lo for _, lo, _ in cols)
     sig = tuple((m - min_m, lo - min_n, hi - min_n) for m, lo, hi in cols)
     return sig, (am - min_m, an - min_n)
-
-
-def _pixels_of(sig: Columns) -> PixelSet:
-    return frozenset((m, n) for m, lo, hi in sig for n in range(lo, hi + 1))
 
 
 def canonicalize(ps) -> PixelSet:
@@ -163,17 +126,13 @@ def default_window(slopes: Slopes) -> int:
     return 2 * (abs(slopes.a) + abs(slopes.b) + abs(slopes.c) + abs(slopes.d))
 
 
-def _shape_from_params(slopes: Slopes, alpha: int, beta: int, window: int, index: int) -> ShapeClass:
-    sig, corner = class_fingerprint(slopes, alpha, beta, window)
-    return ShapeClass(slopes.as_tuple(), index, window, _pixels_of(sig), corner)
-
-
-def enumerate_shapes(slopes: Slopes, window: int | None = None) -> list[ShapeClass]:
-    """All D shape classes as canonical windowed bitmaps, index order 0..D-1.
+def class_signatures(slopes: Slopes, window: int | None = None) -> tuple[int, list[tuple[Columns, PixelIndex]]]:
+    """The window and the fingerprints of the D classes, index order 0..D-1.
 
     The window grows by doubling (up to 8x the starting size) if two classes
     collide inside it; distinct classes have distinct unclipped regions, so
-    some finite window always separates them.
+    some finite window always separates them. The returned fingerprints are
+    nonempty and pairwise distinct.
     """
     base = default_window(slopes) if window is None else window
     if base < 1:
@@ -182,17 +141,34 @@ def enumerate_shapes(slopes: Slopes, window: int | None = None) -> list[ShapeCla
     for factor in (1, 2, 4, 8):
         w = base * factor
         sigs = [class_fingerprint(slopes, 0, j, w) for j in range(d)]
-        keys = {sig for sig, _ in sigs}
-        if any(not sig for sig, _ in sigs):
-            continue  # some class has no pixel in window: grow
-        if len(keys) == d:
-            return [
-                ShapeClass(slopes.as_tuple(), j, w, _pixels_of(sig), corner)
-                for j, (sig, corner) in enumerate(sigs)
-            ]
+        if all(sig for sig, _ in sigs) and len({sig for sig, _ in sigs}) == d:
+            return w, sigs
     raise WindowTooSmall(
         f"classes of {slopes.as_tuple()} not pairwise distinct within window {base * 8}"
     )
+
+
+def _bitmaps(sigs: list[Columns]) -> list[PixelSet]:
+    """Pixel sets of canonical column tables, built from one grid of (m, n)
+    tuples that all of them share."""
+    width = 1 + max(sig[-1][0] for sig in sigs)
+    height = 1 + max(hi for sig in sigs for _, _, hi in sig)
+    grid = [[(m, n) for n in range(height)] for m in range(width)]
+    return [frozenset(chain.from_iterable(grid[m][lo : hi + 1] for m, lo, hi in sig)) for sig in sigs]
+
+
+def enumerate_shapes(slopes: Slopes, window: int | None = None) -> list[ShapeClass]:
+    """All D shape classes as canonical windowed bitmaps, index order 0..D-1.
+
+    Raises WindowTooSmall when no window up to 8x the starting size separates
+    the classes (see class_signatures).
+    """
+    w, sigs = class_signatures(slopes, window)
+    bitmaps = _bitmaps([sig for sig, _ in sigs])
+    return [
+        ShapeClass(slopes.as_tuple(), j, w, bitmap, corner)
+        for j, (bitmap, (_, corner)) in enumerate(zip(bitmaps, sigs))
+    ]
 
 
 def shape_of_spec(spec: AngleSpec, window: int | None = None) -> ShapeClass:
@@ -200,8 +176,10 @@ def shape_of_spec(spec: AngleSpec, window: int | None = None) -> ShapeClass:
     slopes = spec.slopes
     w = default_window(slopes) if window is None else window
     p = region_params(spec)
-    return _shape_from_params(
-        slopes, p.alpha_ceil, p.beta_ceil, w, class_of_params(slopes, p.alpha_ceil, p.beta_ceil)
+    sig, corner = class_fingerprint(slopes, p.alpha_ceil, p.beta_ceil, w)
+    bitmap = _bitmaps([sig])[0] if sig else frozenset()
+    return ShapeClass(
+        slopes.as_tuple(), class_of_params(slopes, p.alpha_ceil, p.beta_ceil), w, bitmap, corner
     )
 
 

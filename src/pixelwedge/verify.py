@@ -6,6 +6,7 @@ for a given seed regardless of worker count.
 """
 from __future__ import annotations
 
+import math
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -22,16 +23,38 @@ from .digitize import (
 from .errors import PixelCenterHit, WindowTooSmall
 from .exact import extended_gcd, floor_exact
 from .partition import partition_unit_square
-from .shapes import enumerate_shapes
+from .shapes import class_of_params, class_signatures
 
-# 0.999 quantiles of the chi-square distribution by degrees of freedom.
-CHI2_Q999 = {
-    1: 10.827566, 2: 13.815511, 3: 16.266236, 4: 18.466827, 5: 20.515006,
-    6: 22.457744, 7: 24.321886, 8: 26.124482, 9: 27.877165, 10: 29.588298,
-    11: 31.264134, 12: 32.909490, 13: 34.528179, 14: 36.123274, 15: 37.697298,
-    16: 39.252355, 17: 40.790217, 18: 42.312396, 19: 43.820196, 20: 45.314747,
-    21: 46.797038, 22: 48.267942, 23: 49.728232, 24: 51.178598,
-}
+
+def _gamma_p(s: float, x: float) -> float:
+    """Regularised lower incomplete gamma P(s, x), x > 0, by its power series."""
+    term = total = 1 / s
+    k = s
+    while term > total * 1e-17:
+        k += 1
+        term *= x / k
+        total += term
+    return total * math.exp(s * math.log(x) - x - math.lgamma(s))
+
+
+def chi2_q999(dof: int) -> float:
+    """0.999 quantile of the chi-square distribution with `dof` degrees of
+    freedom, to 6 decimals; 0.0 for dof 0, where chi-square is always 0.
+
+    Bisection on P(dof/2, q/2) == 0.999 over a bracket reaching 10 standard
+    deviations past the mean.
+    """
+    if dof == 0:
+        return 0.0
+    lo, hi = 0.0, dof + 10 * math.sqrt(2 * dof) + 30
+    for _ in range(64):
+        mid = (lo + hi) / 2
+        if _gamma_p(dof / 2, mid / 2) < 0.999:
+            lo = mid
+        else:
+            hi = mid
+    return round((lo + hi) / 2, 6)
+
 
 _BLOCK = 1 << 15
 _Q_BITS = 64
@@ -60,11 +83,12 @@ class ClassHistogram:
 
     @property
     def threshold(self) -> float:
-        return CHI2_Q999[len(self.counts) - 1]
+        return chi2_q999(len(self.counts) - 1)
 
     @property
     def passed(self) -> bool:
-        return self.chisq < self.threshold
+        """Chi-square below the 0.999 quantile; a single class is trivially uniform."""
+        return self.count == 1 or self.chisq < self.threshold
 
     def to_json_dict(self) -> dict:
         return {
@@ -152,6 +176,28 @@ def sample_class_frequencies(
 def exact_class_areas(slopes: Slopes) -> list[Fraction]:
     """Exact area of each partition cell (edge-vector determinant); all 1/D."""
     return [cell.area for cell in partition_unit_square(slopes)]
+
+
+def cells_match_classes(slopes: Slopes) -> bool:
+    """Whether the centre base + (e1 + e2)/2 of every partition cell j is a
+    corner of class j by the closed-form class formula.
+
+    Integer arithmetic over the common denominator 2D: a cell's base is a
+    multiple of 1/(2D) and its edges multiples of 1/D, or the check fails.
+    """
+    D = slopes.count
+    a, b, c, d = slopes.as_tuple()
+    for cell in partition_unit_square(slopes):
+        nums = [divmod(r.numerator * 2 * D, r.denominator) for r in cell.base]
+        nums += [divmod(r.numerator * D, r.denominator) for r in cell.edge1 + cell.edge2]
+        if any(rem for _, rem in nums):
+            return False
+        bx, by, ux, uy, vx, vy = (n for n, _ in nums)
+        x, y = bx + ux + vx - D, by + uy + vy - D  # centre - (1/2, 1/2), over 2D
+        alpha, beta = -((b * y - a * x) // (2 * D)), -((d * y - c * x) // (2 * D))
+        if class_of_params(slopes, alpha, beta) != cell.index:
+            return False
+    return True
 
 
 # --- the center-membership property ---------------------------------------------
@@ -243,7 +289,7 @@ class SweepEntry:
     expected: int
     classes: int
     window: int
-    areas_ok: bool
+    areas_ok: bool  # cells_match_classes: each partition cell holds its own class
     error: str | None = None
 
     @property
@@ -301,8 +347,13 @@ class SweepReport:
 
 
 def theorem_sweep(max_shapes: int, max_entry: int | None = None) -> SweepReport:
-    """Check class count == D and all cell areas == 1/D over every coprime
-    slope pair with entries bounded by max_entry and 1 <= D <= max_shapes."""
+    """Check class count == D and that every partition cell holds the corners
+    of its own class, over every coprime slope pair with entries bounded by
+    max_entry and 1 <= D <= max_shapes.
+
+    Classes are counted by their distinct fingerprints, which are one-to-one
+    with their bitmaps, so no bitmap is built.
+    """
     if max_shapes < 1:
         raise ValueError("max_shapes must be >= 1")
     bound = max_shapes if max_entry is None else max_entry
@@ -316,14 +367,11 @@ def theorem_sweep(max_shapes: int, max_entry: int | None = None) -> SweepReport:
             slopes = Slopes(a, b, c, d)
             expected = slopes.count
             try:
-                shapes = enumerate_shapes(slopes)
-                areas_ok = all(
-                    area == Fraction(1, expected) for area in exact_class_areas(slopes)
-                )
+                window, sigs = class_signatures(slopes)
                 report.entries.append(
                     SweepEntry(
-                        slopes.as_tuple(), expected, len({s.bitmap for s in shapes}),
-                        shapes[0].window, areas_ok,
+                        slopes.as_tuple(), expected, len({sig for sig, _ in sigs}),
+                        window, cells_match_classes(slopes),
                     )
                 )
             except WindowTooSmall as exc:

@@ -25,7 +25,7 @@ from pixelwedge import (
 )
 from pixelwedge.digitize import column_interval
 from pixelwedge.shapes import class_fingerprint, class_of_params
-from pixelwedge.verify import CHI2_Q999, coprime_pairs
+from pixelwedge.verify import chi2_q999, coprime_pairs
 
 F = Fraction
 
@@ -78,7 +78,7 @@ def test_criterion_4_uniformity_million_samples():
             hist = sample_class_frequencies(slopes, 1_000_000, seed=42)
             for freq in hist.frequencies:
                 assert abs(freq - 0.2) <= 0.002
-            assert hist.chisq < CHI2_Q999[4]
+            assert hist.chisq < chi2_q999(4)
 
 
 def test_criterion_5_partition_agreement():

@@ -108,6 +108,30 @@ def test_same_argv_same_bytes():
     assert run(*args).stdout == run(*args).stdout
 
 
+def test_verify_beyond_old_quantile_table():
+    # D = 26 and D = 1 used to die with a KeyError traceback
+    for slope2 in ("-13/1", "0/1"):
+        slope1 = "13/1" if slope2 == "-13/1" else "1/0"
+        r = run("verify", "--slope1", slope1, "--slope2", slope2, "--samples", "2000")
+        assert r.returncode == 0, r.stderr
+        assert b"Traceback" not in r.stderr
+    assert r.stdout.endswith(b"(0 dof): PASS\n")
+
+
+def test_zero_samples_is_usage_error():
+    r = run("verify", "--slope1", "2/1", "--slope2", "-3/1", "--samples", "0")
+    assert r.returncode == 2
+    assert b"--samples" in r.stderr
+
+
+def test_out_into_missing_directory_is_one_line_refusal(tmp_path):
+    out = tmp_path / "missing" / "cells.svg"
+    r = run("partition", "--slope1", "2/1", "--slope2", "-3/1", "--out", str(out))
+    assert r.returncode == 1
+    assert r.stdout == b""
+    assert r.stderr.startswith(b"pixelwedge: ") and r.stderr.count(b"\n") == 1
+
+
 def test_parallel_slopes_exit_code_one():
     r = run("classify", "--slope1", "2/1", "--slope2", "4/2", "--corner", "0,0")
     assert r.returncode == 1

@@ -18,8 +18,8 @@ from pixelwedge import (
     round_nearest,
     trace_region_boundary,
 )
-from pixelwedge.digitize import region_pixels
-from pixelwedge.exact import HALF, ceil_exact, floor_exact
+from pixelwedge.digitize import column_interval, region_pixels, window_columns
+from pixelwedge.exact import HALF, ceil_exact, floor_exact, gcd
 
 from conftest import corner_st, slopes_st
 
@@ -185,6 +185,54 @@ class TestPixelInAngle:
     def test_second_form_negative(self):
         # first form evaluates to 3 >= 0, second to -2: excluded
         assert not pixel_in_angle((1, -1), self.SPEC)
+
+
+def clamped_interval_scan(a, b, c, d, alpha, beta, anchor, window):
+    """Reference window scan: one column_interval call per column, clamped."""
+    am, an = anchor
+    cols = []
+    for m in range(am - window, am + window + 1):
+        iv = column_interval(a, b, c, d, alpha, beta, m)
+        if iv is None:
+            continue
+        lo, hi = iv
+        lo = an - window if lo is None else max(lo, an - window)
+        hi = an + window if hi is None else min(hi, an + window)
+        if lo <= hi:
+            cols.append((m, lo, hi))
+    return cols
+
+
+class TestWindowScan:
+    # every coprime pair with entries <= 3: b = 0 and d = 0 occur, and each
+    # pair appears in both orders, so det takes both signs
+    PAIRS = [(p, q) for p in range(-3, 4) for q in range(-3, 4) if gcd(p, q) == 1]
+
+    def test_matches_column_interval_scan(self):
+        rng = random.Random(93)
+        for a, b in self.PAIRS:
+            for c, d in self.PAIRS:
+                if a * d - b * c == 0:
+                    continue
+                for window in range(1, 10):
+                    alpha, beta = rng.randint(-15, 15), rng.randint(-15, 15)
+                    anchor = (rng.randint(-6, 6), rng.randint(-6, 6))
+                    assert window_columns(a, b, c, d, alpha, beta, anchor, window) == (
+                        clamped_interval_scan(a, b, c, d, alpha, beta, anchor, window)
+                    ), (a, b, c, d, alpha, beta, anchor, window)
+
+    def test_region_pixels_matches_center_membership(self):
+        rng = random.Random(94)
+        pairs = [(a, b, c, d) for a, b in self.PAIRS for c, d in self.PAIRS if a * d - b * c]
+        for a, b, c, d in rng.sample(pairs, 300):
+            corner = (F(rng.randint(-300, 300), rng.randint(1, 30)),
+                      F(rng.randint(-300, 300), rng.randint(1, 30)))
+            spec = AngleSpec(a, b, c, d, corner)
+            window = rng.randint(1, 9)
+            am, an = floor_exact(corner[0]), floor_exact(corner[1])
+            box = [(m, n) for m in range(am - window, am + window + 1)
+                   for n in range(an - window, an + window + 1)]
+            assert region_pixels(spec, window) == {px for px in box if pixel_in_angle(px, spec)}
 
 
 class TestBoundaryTrace:

@@ -8,10 +8,13 @@ from pixelwedge import (
     AngleSpec,
     InvalidAxis,
     RegionParams,
+    ShapeClass,
     Slopes,
+    WindowTooSmall,
     canonicalize,
     class_index,
     class_of_params,
+    default_window,
     enumerate_shapes,
     equivalent,
     reflection_symmetric,
@@ -20,7 +23,7 @@ from pixelwedge import (
     shift_params,
 )
 from pixelwedge.digitize import angle_thresholds
-from pixelwedge.exact import floor_exact
+from pixelwedge.exact import floor_exact, gcd
 from pixelwedge.shapes import class_fingerprint
 
 from conftest import coprime_pair, corner_st, slopes_st
@@ -252,6 +255,72 @@ class TestEnumerate:
         assert d["slopes"] == [2, 1, -3, 1]
         assert d["index"] == 3 and d["window"] == s.window
         assert d["pixels"] == sorted(s.bitmap)
+
+
+def reference_shapes(slopes, window=None):
+    """enumerate_shapes rebuilt pixel by pixel: centre membership over the
+    whole window box, anchored at the floor of the exact boundary-line
+    crossing, with the same window doubling."""
+    a, b, c, d = slopes.as_tuple()
+    det = b * c - a * d
+    base = default_window(slopes) if window is None else window
+    for factor in (1, 2, 4, 8):
+        w = base * factor
+        shapes = []
+        for j in range(slopes.count):
+            # crossing of a*m - b*n = 0 and c*m - d*n = j
+            am, an = floor_exact(F(b * j, det)), floor_exact(F(a * j, det))
+            pixels = {
+                (m, n)
+                for m in range(am - w, am + w + 1)
+                for n in range(an - w, an + w + 1)
+                if a * m - b * n >= 0 and c * m - d * n >= j
+            }
+            if not pixels:
+                break
+            min_m = min(m for m, _ in pixels)
+            min_n = min(n for _, n in pixels)
+            corner = (am - min_m, an - min_n)
+            shapes.append(ShapeClass(slopes.as_tuple(), j, w, canonicalize(pixels), corner))
+        else:
+            if len({s.bitmap for s in shapes}) == slopes.count:
+                return shapes
+    raise WindowTooSmall(str(slopes.as_tuple()))
+
+
+class TestEnumerateAgainstReference:
+    PAIRS = [(p, q) for p in range(-5, 6) for q in range(-5, 6) if gcd(p, q) == 1]
+
+    def test_every_field_matches_pixel_by_pixel_reference(self):
+        rng = random.Random(95)
+        all_slopes = [
+            Slopes(a, b, c, d)
+            for a, b in self.PAIRS
+            for c, d in self.PAIRS
+            if 0 < abs(a * d - b * c) <= 12
+        ]
+        doubled = 0
+        for slopes in rng.sample(all_slopes, 40):
+            assert enumerate_shapes(slopes) == reference_shapes(slopes)
+            # window 1 starts too small, so the doubling branch runs
+            shapes = enumerate_shapes(slopes, 1)
+            assert shapes == reference_shapes(slopes, 1)
+            doubled += shapes[0].window > 1
+        assert doubled > 0
+
+    def test_window_too_small_matches_reference(self):
+        slopes = Slopes(10, 1, -1, 10)
+        with pytest.raises(WindowTooSmall):
+            reference_shapes(slopes, 1)
+        with pytest.raises(WindowTooSmall):
+            enumerate_shapes(slopes, 1)
+
+    def test_classes_share_pixel_tuples(self):
+        shapes = enumerate_shapes(P_SLOPES)
+        pool = {}
+        for s in shapes:
+            for px in s.bitmap:
+                assert pool.setdefault(px, px) is px
 
 
 def column_top_diffs(bitmap):

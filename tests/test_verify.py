@@ -1,5 +1,5 @@
-import os
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -8,12 +8,14 @@ from pixelwedge import (
     AngleSpec,
     PixelCenterHit,
     Slopes,
+    enumerate_shapes,
     exact_class_areas,
     hobby_region_check,
+    partition_unit_square,
     sample_class_frequencies,
     theorem_sweep,
 )
-from pixelwedge.verify import CHI2_Q999, coprime_pairs
+from pixelwedge.verify import chi2_q999, coprime_pairs
 
 F = Fraction
 
@@ -56,8 +58,50 @@ class TestSampling:
         d = hist.to_json_dict()
         assert d["samples"] == 1000 and d["classes"] == 5
         assert sum(d["counts"]) == 1000
-        assert d["threshold"] == CHI2_Q999[4]
+        assert d["threshold"] == chi2_q999(4)
         assert "PASS" in hist.table() or "FAIL" in hist.table()
+
+
+# The 0.999 chi-square quantiles the verdict used as a fixed table, to 6 decimals.
+CHI2_Q999 = {
+    1: 10.827566, 2: 13.815511, 3: 16.266236, 4: 18.466827, 5: 20.515006,
+    6: 22.457744, 7: 24.321886, 8: 26.124482, 9: 27.877165, 10: 29.588298,
+    11: 31.264134, 12: 32.909490, 13: 34.528179, 14: 36.123274, 15: 37.697298,
+    16: 39.252355, 17: 40.790217, 18: 42.312396, 19: 43.820196, 20: 45.314747,
+    21: 46.797038, 22: 48.267942, 23: 49.728232, 24: 51.178598,
+}
+
+
+class TestVerdict:
+    def test_quantile_reproduces_table(self):
+        assert {dof: chi2_q999(dof) for dof in CHI2_Q999} == CHI2_Q999
+
+    def test_quantile_near_wilson_hilferty_at_large_dof(self):
+        # the Wilson-Hilferty approximation's relative error shrinks like 1/dof
+        z = 3.090232306167813  # standard normal 0.999 quantile
+        for dof in (25, 40, 100, 1000, 10**5):
+            approx = dof * (1 - 2 / (9 * dof) + z * (2 / (9 * dof)) ** 0.5) ** 3
+            assert abs(chi2_q999(dof) - approx) < 0.06 / dof * approx, dof
+
+    def test_quantile_increases_with_dof(self):
+        values = [chi2_q999(dof) for dof in range(0, 60)]
+        assert values[0] == 0.0
+        assert all(u < v for u, v in zip(values, values[1:]))
+
+    def test_verdict_for_one_class_is_pass(self):
+        hist = sample_class_frequencies(Slopes(1, 0, 0, 1), 100, seed=1)
+        assert hist.counts == (100,)
+        assert hist.passed
+        assert hist.table().endswith("(0 dof): PASS")
+        assert hist.to_json_dict()["pass"] is True
+
+    def test_verdict_beyond_old_table(self):
+        slopes = Slopes(13, 1, -13, 1)
+        assert slopes.count == 26
+        hist = sample_class_frequencies(slopes, 26_000, seed=4)
+        assert hist.threshold == chi2_q999(25)
+        assert hist.passed == (hist.chisq < hist.threshold)
+        assert hist.table().splitlines()[-1].endswith(("PASS", "FAIL"))
 
 
 class TestExactAreas:
@@ -133,6 +177,33 @@ class TestSweep:
         assert d["pass"] is True and d["failures"] == []
         assert "PASS" in report.table()
 
+    def test_rotated_cell_indices_fail(self, monkeypatch):
+        def rotated(slopes):
+            cells = partition_unit_square(slopes)
+            return [replace(cell, index=(cell.index + 1) % len(cells)) for cell in cells]
+
+        monkeypatch.setattr("pixelwedge.verify.partition_unit_square", rotated)
+        report = theorem_sweep(3)
+        assert report.ok is False
+        # rotating a single cell changes nothing; every D >= 2 entry fails
+        assert {e.expected for e in report.failures} == {2, 3}
+        assert all(e.areas_ok == (e.expected == 1) for e in report.entries)
+
+    def test_off_lattice_cell_fails(self, monkeypatch):
+        def shifted(slopes):
+            cells = partition_unit_square(slopes)
+            (x, y) = cells[0].base
+            return [replace(cells[0], base=(x + F(1, 7 * slopes.count), y))] + cells[1:]
+
+        monkeypatch.setattr("pixelwedge.verify.partition_unit_square", shifted)
+        assert theorem_sweep(2).ok is False
+
+    def test_class_count_matches_enumerated_bitmaps(self):
+        for entry in theorem_sweep(8).entries:
+            shapes = enumerate_shapes(Slopes(*entry.slopes))
+            assert entry.classes == len({s.bitmap for s in shapes}), entry
+            assert entry.window == shapes[0].window
+
 
 def test_two_class_pair_splits_evenly_at_a_million():
     hist = sample_class_frequencies(Slopes(1, 1, -1, 1), 1_000_000, seed=42)
@@ -140,10 +211,6 @@ def test_two_class_pair_splits_evenly_at_a_million():
     assert all(abs(f - 0.5) <= 0.002 for f in hist.frequencies)
 
 
-@pytest.mark.skipif(
-    not os.environ.get("PIXELWEDGE_SLOW"),
-    reason="~90s exhaustive sweep; set PIXELWEDGE_SLOW=1 to run",
-)
 def test_full_sweep_to_twelve_has_no_failures():
     report = theorem_sweep(12)
     assert report.failures == []
