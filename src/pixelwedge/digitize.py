@@ -101,14 +101,15 @@ class AngleSpec:
     corner: Point
 
     def __post_init__(self):
-        Slopes(self.a, self.b, self.c, self.d)  # validates coprimality and det
+        # validates coprimality and det; kept, so `slopes` is a plain read
+        object.__setattr__(self, "_slopes", Slopes(self.a, self.b, self.c, self.d))
         object.__setattr__(
             self, "corner", (Fraction(self.corner[0]), Fraction(self.corner[1]))
         )
 
     @property
     def slopes(self) -> Slopes:
-        return Slopes(self.a, self.b, self.c, self.d)
+        return self._slopes
 
     @property
     def count(self) -> int:

@@ -13,13 +13,19 @@ from fractions import Fraction
 
 from .digitize import Point, Slopes
 from .errors import PartitionBoundary
-from .exact import ceil_exact, floor_exact
 
 Vec = tuple[Fraction, Fraction]
 
 
 def _cross(u: Vec, v: Vec) -> Fraction:
     return u[0] * v[1] - u[1] * v[0]
+
+
+def _ccw(corners, turn) -> list:
+    """Corners (base, +e1, +e2, +e1+e2) as a counterclockwise cycle, given the
+    sign of cross(e1, e2)."""
+    c0, c1, c2, c3 = corners
+    return [c0, c1, c3, c2] if turn > 0 else [c0, c2, c3, c1]
 
 
 @dataclass(frozen=True)
@@ -43,8 +49,7 @@ class Parallelogram:
 
     def polygon(self) -> list[Point]:
         """Corners as a counterclockwise cycle."""
-        c0, c1, c2, c3 = self.corners()
-        return [c0, c1, c3, c2] if _cross(self.edge1, self.edge2) > 0 else [c0, c2, c3, c1]
+        return _ccw(self.corners(), _cross(self.edge1, self.edge2))
 
     @property
     def area(self) -> Fraction:
@@ -87,42 +92,68 @@ def partition_unit_square(slopes: Slopes) -> list[Parallelogram]:
 
 
 def polygon_area(poly: list[Point]) -> Fraction:
-    """Signed shoelace area (positive for counterclockwise)."""
-    s = Fraction(0)
-    for (x1, y1), (x2, y2) in zip(poly, poly[1:] + poly[:1]):
-        s += x1 * y2 - x2 * y1
-    return s / 2
+    """Signed shoelace area (positive for counterclockwise), also of integer
+    polygons."""
+    twice = sum(x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in zip(poly, poly[1:] + poly[:1]))
+    return Fraction(twice, 2)
 
 
-def _clip_halfplane(poly, value, boundary):
-    """Keep the part of a polygon with value(p) >= boundary (exact)."""
-    out = []
-    n = len(poly)
-    for i in range(n):
-        cur, nxt = poly[i], poly[(i + 1) % n]
-        vc, vn = value(cur), value(nxt)
-        if vc >= boundary:
-            out.append(cur)
-        if (vc > boundary > vn) or (vc < boundary < vn):
-            t = (boundary - vc) / (vn - vc)
-            out.append(
-                (cur[0] + t * (nxt[0] - cur[0]), cur[1] + t * (nxt[1] - cur[1]))
-            )
-    dedup = [p for i, p in enumerate(out) if p != out[(i - 1) % len(out)]]
-    return dedup
+def _clip(poly, axis: int, lo: int, hi: int):
+    """Sutherland-Hodgman clip of an integer polygon to lo <= p[axis] <= hi.
 
-
-def clip_to_unit_square(poly: list[Point]) -> list[Point]:
-    for value, boundary in (
-        (lambda p: p[0], Fraction(0)),
-        (lambda p: -p[0], Fraction(-1)),
-        (lambda p: p[1], Fraction(0)),
-        (lambda p: -p[1], Fraction(-1)),
-    ):
-        poly = _clip_halfplane(poly, value, boundary)
+    Every edge lies on a cell edge line or a clip line, so at the scale of
+    _int_fragments each crossing is an integer and the division leaves no
+    remainder. Repeated consecutive vertices are dropped after each side;
+    fewer than three vertices leave nothing.
+    """
+    other = 1 - axis
+    for k, sign in ((lo, 1), (hi, -1)):
+        out = []
+        for cur, nxt in zip(poly, poly[1:] + poly[:1]):
+            vc, vn = sign * (cur[axis] - k), sign * (nxt[axis] - k)
+            if vc >= 0:
+                out.append(cur)
+            if (vc > 0 > vn) or (vc < 0 < vn):
+                t, r = divmod((k - cur[axis]) * (nxt[other] - cur[other]), nxt[axis] - cur[axis])
+                assert not r, "inexact crossing"
+                out.append((k, cur[other] + t) if axis == 0 else (cur[other] + t, k))
+        poly = [p for i, p in enumerate(out) if p != out[i - 1]]
         if len(poly) < 3:
             return []
-    return poly if polygon_area(poly) > 0 else []
+    return poly
+
+
+def _int_fragments(cell: Parallelogram) -> tuple[int, list[list[tuple[int, int]]]]:
+    """A scale S and the cell's integer translates, times S, clipped to [0, S]^2.
+
+    S is the lcm of the coordinate denominators times the lcm of the nonzero
+    integer edge components (4*D*lcm(|a|, |b|, |c|, |d|) for partition
+    cells), so every crossing of a cell edge line with x or y in S*Z is an
+    integer. Each x-strip is clipped once and then cut by every y-shift that
+    reaches it; the fragments come out in (dx, dy) order with positive area.
+    """
+    coords = (*cell.base, *cell.edge1, *cell.edge2)
+    q = math.lcm(*(v.denominator for v in coords))
+    s = q * math.lcm(*(v.numerator * (q // v.denominator) for v in coords[2:] if v))
+    bx, by, ux, uy, wx, wy = (v.numerator * (s // v.denominator) for v in coords)
+    corners = ((bx, by), (bx + ux, by + uy), (bx + wx, by + wy), (bx + ux + wx, by + uy + wy))
+    poly = _ccw(corners, ux * wy - uy * wx)
+    xs = [x for x, _ in poly]
+    frags = []
+    for dx in range(-max(xs) // s, -((min(xs) - s) // s) + 1):
+        strip = _clip([(x + dx * s, y) for x, y in poly], 0, 0, s)
+        if not strip:
+            continue
+        ys = [y for _, y in strip]
+        for dy in range(-max(ys) // s, -((min(ys) - s) // s) + 1):
+            frag = _clip(strip, 1, -dy * s, s - dy * s)
+            if frag and polygon_area(frag) > 0:
+                frags.append([(x, y + dy * s) for x, y in frag])
+    return s, frags
+
+
+def _as_fractions(frag, s: int) -> list[Point]:
+    return [(Fraction(x, s), Fraction(y, s)) for x, y in frag]
 
 
 def cell_fragments(cell: Parallelogram) -> list[list[Point]]:
@@ -131,48 +162,36 @@ def cell_fragments(cell: Parallelogram) -> list[list[Point]]:
     Fragments have positive area and counterclockwise orientation; their
     areas sum to the cell area.
     """
-    poly = cell.polygon()
-    xs = [p[0] for p in poly]
-    ys = [p[1] for p in poly]
-    frags = []
-    for dx in range(floor_exact(-max(xs)), ceil_exact(1 - min(xs)) + 1):
-        for dy in range(floor_exact(-max(ys)), ceil_exact(1 - min(ys)) + 1):
-            shifted = [(x + dx, y + dy) for x, y in poly]
-            clipped = clip_to_unit_square(shifted)
-            if clipped:
-                frags.append(clipped)
-    return frags
+    s, frags = _int_fragments(cell)
+    return [_as_fractions(frag, s) for frag in frags]
 
 
 class PartitionLocator:
     """Exact point-in-cell queries over the mod-1 fragments.
 
-    Edge lines are pre-scaled to integer coefficients so each query runs on
-    plain integers. Points exactly on any fragment edge raise
-    PartitionBoundary (this includes the unit-square seam for wrapped cells).
+    Edge lines come from the integer fragments with coprime integer
+    coefficients, so each query runs on plain integers. Points exactly on any
+    fragment edge raise PartitionBoundary (this includes the unit-square seam
+    for wrapped cells).
     """
 
     def __init__(self, slopes: Slopes):
         self.slopes = slopes
         self.cells = partition_unit_square(slopes)
-        self.fragments = [(cell.index, frag) for cell in self.cells for frag in cell_fragments(cell)]
+        self.fragments = []
         self._edges = []
-        for idx, frag in self.fragments:
-            rows = []
-            for i in range(len(frag)):
-                vx, vy = frag[i]
-                wx, wy = frag[(i + 1) % len(frag)]
-                ex, ey = wx - vx, wy - vy
-                cc = ey * vx - ex * vy
-                scale = math.lcm(ex.denominator, ey.denominator, cc.denominator)
-                rows.append(
-                    (
-                        int(ex * scale),
-                        int(ey * scale),
-                        int(cc * scale),
-                    )
-                )
-            self._edges.append((idx, rows))
+        for cell in self.cells:
+            s, frags = _int_fragments(cell)
+            for frag in frags:
+                self.fragments.append((cell.index, _as_fractions(frag, s)))
+                rows = []
+                for (vx, vy), (wx, wy) in zip(frag, frag[1:] + frag[:1]):
+                    # (ex, ey, cross(e, v)) of the edge in unit-square coordinates, times s^2
+                    ex, ey = (wx - vx) * s, (wy - vy) * s
+                    cc = (wy - vy) * vx - (wx - vx) * vy
+                    g = math.gcd(ex, ey, cc)
+                    rows.append((ex // g, ey // g, cc // g))
+                self._edges.append((cell.index, rows))
 
     def locate(self, x, y) -> int:
         """Class index of the cell whose interior contains (x mod 1, y mod 1)."""

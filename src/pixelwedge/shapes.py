@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from math import lcm
 
 from .digitize import AngleSpec, PixelIndex, Slopes, angle_thresholds, window_columns
 from .errors import InvalidAxis, WindowTooSmall
@@ -54,8 +55,13 @@ def class_of_params(slopes: Slopes, alpha: int, beta: int) -> int:
 
 
 def class_index(spec: AngleSpec) -> int:
-    p = region_params(spec)
-    return class_of_params(spec.slopes, p.alpha_ceil, p.beta_ceil)
+    """Class of the corner's integer thresholds, by floor division over the
+    corner's common denominator q: 2q * (x0 - 1/2) == 2X - q for x0 == X/q."""
+    (x0, y0), a, b, c, d = spec.corner, spec.a, spec.b, spec.c, spec.d
+    q = lcm(x0.denominator, y0.denominator)
+    u = 2 * x0.numerator * (q // x0.denominator) - q
+    v = 2 * y0.numerator * (q // y0.denominator) - q
+    return class_of_params(spec.slopes, -((b * v - a * u) // (2 * q)), -((d * v - c * u) // (2 * q)))
 
 
 def equivalent(p1: RegionParams, p2: RegionParams, slopes: Slopes) -> bool:

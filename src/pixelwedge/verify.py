@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -160,6 +159,9 @@ def sample_class_frequencies(
     counts = [0] * big_d
     resampled = 0
     if workers > 1:
+        # deferred: loading it costs about as much as the rest of `import pixelwedge`
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = pool.map(_count_block, *zip(*blocks))
     else:

@@ -150,3 +150,24 @@ def test_center_corner_digitize_exit_code_one():
     r = run("digitize", "--slope1", "2/1", "--slope2", "-3/1", "--corner", "1/2,1/2")
     assert r.returncode == 1
     assert b"center" in r.stderr
+
+
+# sha256 of `partition` stdout, recorded before the integer clipper replaced
+# the Fraction one; the SVG path draws the clipped fragments.
+PARTITION_SHA256 = {
+    ("2/1", "-3/1", "svg"): "87db2c38264882070bb99e76ef7e9dd0392b924eafe2ac9c98e905907ff087e2",
+    ("2/1", "-3/1", "json"): "8bd60744aeac2a2318138993f59d67017b7b1801b8bc2345b73e75ac91e3412f",
+    ("-3/1", "-1/2", "svg"): "cafb1d2d8180c9f7eef872bea683a1536f8e0e8d4de6ebaca60a8eb3e7ae83a8",
+    ("-3/1", "-1/2", "json"): "55af1491e183b6e25d450e781fb2dab2a9058357f598d2685c77503c285e13fc",
+    ("1/2", "3/1", "svg"): "e4e0f75ee01111cd483332c7183558f7e1b54d96084eacacad0c2dbdea3dfa95",  # det < 0
+    ("1/2", "3/1", "json"): "713ea75a1108eb2d5bf899f760a6775ec8e1105904640e86e2e81621c6d16f20",
+}
+
+
+def test_partition_stdout_bytes_are_pinned():
+    import hashlib
+
+    for (s1, s2, fmt), digest in PARTITION_SHA256.items():
+        r = run("partition", "--slope1", s1, "--slope2", s2, "--format", fmt)
+        assert r.returncode == 0, r.stderr
+        assert hashlib.sha256(r.stdout).hexdigest() == digest, (s1, s2, fmt)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -8,12 +9,14 @@ from pixelwedge import (
     AngleSpec,
     PartitionBoundary,
     PartitionLocator,
+    Parallelogram,
     Slopes,
     cell_fragments,
     class_index,
     partition_unit_square,
 )
 from pixelwedge.partition import polygon_area
+from pixelwedge.verify import coprime_pairs
 
 from conftest import slopes_st
 
@@ -142,3 +145,116 @@ def test_parallelogram_json():
         "edge1": ["1/5", "2/5"],
         "edge2": ["-1/5", "3/5"],
     }
+
+
+# --- the exact Fraction clipper the integer one replaced, kept as the oracle ---
+
+
+def _ref_clip_halfplane(poly, value, boundary):
+    out = []
+    n = len(poly)
+    for i in range(n):
+        cur, nxt = poly[i], poly[(i + 1) % n]
+        vc, vn = value(cur), value(nxt)
+        if vc >= boundary:
+            out.append(cur)
+        if (vc > boundary > vn) or (vc < boundary < vn):
+            t = (boundary - vc) / (vn - vc)
+            out.append((cur[0] + t * (nxt[0] - cur[0]), cur[1] + t * (nxt[1] - cur[1])))
+    return [p for i, p in enumerate(out) if p != out[(i - 1) % len(out)]]
+
+
+def _ref_clip_to_unit_square(poly):
+    for value, boundary in (
+        (lambda p: p[0], F(0)),
+        (lambda p: -p[0], F(-1)),
+        (lambda p: p[1], F(0)),
+        (lambda p: -p[1], F(-1)),
+    ):
+        poly = _ref_clip_halfplane(poly, value, boundary)
+        if len(poly) < 3:
+            return []
+    return poly if polygon_area(poly) > 0 else []
+
+
+def _ref_cell_fragments(cell):
+    poly = cell.polygon()
+    xs = [p[0] for p in poly]
+    ys = [p[1] for p in poly]
+    frags = []
+    for dx in range(math.floor(-max(xs)), math.ceil(1 - min(xs)) + 1):
+        for dy in range(math.floor(-max(ys)), math.ceil(1 - min(ys)) + 1):
+            clipped = _ref_clip_to_unit_square([(x + dx, y + dy) for x, y in poly])
+            if clipped:
+                frags.append(clipped)
+    return frags
+
+
+def _all_slopes(max_entry, max_d=None):
+    pairs = coprime_pairs(max_entry)
+    return [
+        Slopes(a, b, c, d)
+        for a, b in pairs
+        for c, d in pairs
+        if a * d - b * c and (max_d is None or abs(a * d - b * c) <= max_d)
+    ]
+
+
+SWEEP_8 = _all_slopes(3, max_d=8)  # the D <= 8 sweep, entries <= 3
+
+
+def test_fragments_equal_fraction_clipper_vertex_for_vertex():
+    sample = _all_slopes(2) + random.Random(60).sample(_all_slopes(5), 60)
+    for slopes in sample:
+        for cell in partition_unit_square(slopes):
+            assert cell_fragments(cell) == _ref_cell_fragments(cell), (slopes, cell.index)
+
+
+def test_fragments_equal_fraction_clipper_off_partition():
+    # cells that are not partition cells: other denominators, axis-parallel
+    # and degenerate edges
+    for cell in (
+        Parallelogram(0, (F(1, 3), F(2, 7)), (F(2, 5), F(1, 3)), (F(-1, 6), F(3, 4))),
+        Parallelogram(1, (F(-5, 4), F(9, 8)), (F(3, 2), F(0)), (F(0), F(-7, 3))),
+        Parallelogram(2, (F(0), F(0)), (F(1), F(0)), (F(0), F(1))),
+        Parallelogram(3, (F(1, 2), F(1, 3)), (F(1, 4), F(1, 4)), (F(-1, 2), F(-1, 2))),
+    ):
+        assert cell_fragments(cell) == _ref_cell_fragments(cell), cell
+
+
+def test_fragment_areas_over_sweep():
+    for slopes in SWEEP_8:
+        total = F(0)
+        for cell in partition_unit_square(slopes):
+            area = sum(polygon_area(f) for f in cell_fragments(cell))
+            assert area == F(1, slopes.count), (slopes, cell.index)
+            total += area
+        assert total == 1, slopes
+
+
+def test_locate_agrees_with_class_index_over_sweep():
+    rng = random.Random(848)
+    for slopes in SWEEP_8:
+        loc = PartitionLocator(slopes)
+        for _ in range(10):
+            x = F(rng.getrandbits(48), 1 << 48) + rng.randint(-9, 9)
+            y = F(rng.getrandbits(48), 1 << 48) + rng.randint(-9, 9)
+            spec = AngleSpec(slopes.a, slopes.b, slopes.c, slopes.d, (x, y))
+            assert loc.locate(x, y) == class_index(spec), (slopes, x, y)
+
+
+def test_offset_grid_hits_exactly_one_fragment_over_sweep():
+    # grid points i/5 + 1/1013, j/5 + 1/1019 lie on no edge line (the primes
+    # divide no cell denominator), so each must sit strictly inside exactly one
+    # fragment: the "does not cover" RuntimeError in locate cannot be reached
+    q = 5 * 1013 * 1019
+    grid = [(i * 1013 * 1019 + 5 * 1019, j * 1013 * 1019 + 5 * 1013) for i in range(5) for j in range(5)]
+    for slopes in SWEEP_8:
+        loc = PartitionLocator(slopes)
+        for ix, iy in grid:
+            hits = [
+                idx for idx, rows in loc._edges
+                if all(ex * iy - ey * ix + cc * q > 0 for ex, ey, cc in rows)
+            ]
+            assert len(hits) == 1, (slopes, ix, iy, hits)
+            assert loc.locate(F(ix, q), F(iy, q)) == hits[0]

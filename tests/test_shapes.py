@@ -25,6 +25,7 @@ from pixelwedge import (
 from pixelwedge.digitize import angle_thresholds
 from pixelwedge.exact import floor_exact, gcd
 from pixelwedge.shapes import class_fingerprint
+from pixelwedge.verify import coprime_pairs
 
 from conftest import coprime_pair, corner_st, slopes_st
 
@@ -133,6 +134,34 @@ class TestClassIndex:
             y = F(rng.randint(0, 999), 1000)
             k, l = rng.randint(-20, 20), rng.randint(-20, 20)
             assert class_index(spec_p(x, y)) == class_index(spec_p(x + k, y + l))
+
+
+    def test_integer_formula_matches_fraction_thresholds(self):
+        # all pairs with entries <= 3; dyadic, decimal, integer and
+        # half-integer corners, shifted by random integers
+        rng = random.Random(960)
+        pairs = coprime_pairs(3)
+        for a, b in pairs:
+            for c, d in pairs:
+                if a * d == b * c:
+                    continue
+                coords = (
+                    F(rng.getrandbits(64), 1 << 64),
+                    F(rng.randrange(10 ** 3), 10 ** rng.randint(1, 3)),
+                    F(rng.randint(-5, 5)),
+                    F(2 * rng.randint(-5, 5) + 1, 2),
+                )
+                for x in coords:
+                    for y in coords:
+                        spec = AngleSpec(a, b, c, d, (x + rng.randint(-50, 50), y))
+                        p = region_params(spec)
+                        expected = class_of_params(spec.slopes, p.alpha_ceil, p.beta_ceil)
+                        assert class_index(spec) == expected, spec
+
+    def test_spec_keeps_its_validated_slopes(self):
+        spec = spec_p(F(1, 3), F(2, 3))
+        assert spec.slopes is spec.slopes and spec.slopes == P_SLOPES
+        assert spec == spec_p(F(1, 3), F(2, 3)) and "_slopes" not in repr(spec)
 
 
 class TestEquivalent:

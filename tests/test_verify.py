@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -43,6 +45,13 @@ class TestSampling:
         h1 = sample_class_frequencies(P_SLOPES, 70000, seed=11, workers=1)
         h2 = sample_class_frequencies(P_SLOPES, 70000, seed=11, workers=3)
         assert h1.counts == h2.counts
+
+    def test_package_import_leaves_process_pool_unloaded(self):
+        # the process pool is imported only when workers > 1
+        code = "import sys, pixelwedge; print('concurrent.futures.process' in sys.modules)"
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=60)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout == b"False\n"
 
     def test_rejects_empty_draw(self):
         with pytest.raises(ValueError):
