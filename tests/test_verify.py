@@ -1,3 +1,4 @@
+import hashlib
 import random
 import subprocess
 import sys
@@ -69,6 +70,49 @@ class TestSampling:
         assert sum(d["counts"]) == 1000
         assert d["threshold"] == chi2_q999(4)
         assert "PASS" in hist.table() or "FAIL" in hist.table()
+
+
+# sha256 of repr((counts, resampled, chisq)) over every (n, seed) below, in
+# order; pins the sampled outputs of each pair, block boundaries included.
+PINNED_NS = (1, 1023, 1025, 32767, 32768, 32769, 70000)
+PINNED_SEEDS = (0, 7)
+PINNED_SAMPLES = {
+    (2, 1, -3, 1): "04b05562c3f03f1e54d43430ee47782602bad65d636ed89bd4108dab383a60f6",
+    (3, -1, -1, 2): "b3f145e07d90e84cdb7d34325522d80af2693965507d2c94317bf929396972e8",
+    (1, 0, 0, 1): "e999e7223250fc95c19362616a5ea3a2cd973bbff72b1715488c3203d6f84ebc",
+    (13, 1, -13, 1): "0c80562871a2bb877e60b843973fdb80b36c2e9771ea9ddf564887500042622e",
+    (5, -4, 3, 5): "36b4da280e270db7686885d1aca1ffa80ad8891b3d7fa26b7713a3e37d865259",
+    (2**40 + 1, 2**40, 2**40, 2**40 - 1):
+        "e999e7223250fc95c19362616a5ea3a2cd973bbff72b1715488c3203d6f84ebc",
+}
+# sha256 of `pixelwedge verify` stdout (seed 0)
+PINNED_CLI = {
+    ("2/1", "-3/1", "100000", "ascii"): "95c21c36f8fc41927577c2d9652acc69f3820b731b2c30f165116af0850aa040",
+    ("2/1", "-3/1", "100000", "json"): "0c26d57d1daa29e2c950aeee5d217da8687d1579aa4f6d218746ba6df2249fe9",
+    ("13/1", "-13/1", None, "ascii"): "1470ace5fc0e1e0a30319b5c93206f77b65f951dad1692f59d56497b459f8bf8",
+    ("13/1", "-13/1", None, "json"): "92a27133792f4a3d4ce4c1a11dc1bb7d897d87401109c6c3a52e366f47ac1993",
+}
+
+
+class TestPinnedSamples:
+    @pytest.mark.parametrize("pair", list(PINNED_SAMPLES))
+    def test_sampled_outputs_pinned(self, pair):
+        h = hashlib.sha256()
+        for n in PINNED_NS:
+            for seed in PINNED_SEEDS:
+                hist = sample_class_frequencies(Slopes(*pair), n, seed)
+                h.update(repr((hist.counts, hist.resampled, hist.chisq)).encode())
+        assert h.hexdigest() == PINNED_SAMPLES[pair]
+
+    @pytest.mark.parametrize("key", list(PINNED_CLI))
+    def test_cli_verify_stdout_pinned(self, key):
+        s1, s2, samples, fmt = key
+        argv = ["verify", "--slope1", s1, "--slope2", s2, "--format", fmt]
+        if samples is not None:
+            argv += ["--samples", samples]
+        r = subprocess.run([sys.executable, "-m", "pixelwedge", *argv], capture_output=True, timeout=120)
+        assert (r.returncode, r.stderr) == (0, b"")
+        assert hashlib.sha256(r.stdout).hexdigest() == PINNED_CLI[key]
 
 
 # The 0.999 chi-square quantiles the verdict used as a fixed table, to 6 decimals.
