@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     EmptyRegion,
@@ -19,7 +20,7 @@ from .errors import (
     ParallelSlopes,
     PixelCenterHit,
 )
-from .exact import HALF, ceil_exact, floor_exact, gcd
+from .exact import HALF, ceil_exact, extended_gcd, floor_exact, gcd
 
 Point = tuple[Fraction, Fraction]
 PixelIndex = tuple[int, int]
@@ -75,6 +76,13 @@ class Slopes:
     def count(self) -> int:
         """D = |ad - bc|: the number of distinct digitized shapes."""
         return abs(self.det)
+
+    @cached_property
+    def bezout(self) -> tuple[int, int]:
+        """(x, y) with a*x - b*y == 1; computed once per instance, outside
+        the dataclass fields, so eq, hash and repr ignore it."""
+        _, x, y = extended_gcd(self.a, self.b)
+        return x, y
 
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)

@@ -17,7 +17,7 @@ from math import lcm
 
 from .digitize import AngleSpec, PixelIndex, Slopes, angle_thresholds, window_columns
 from .errors import InvalidAxis, WindowTooSmall
-from .exact import ceil_exact, extended_gcd
+from .exact import ceil_exact
 
 PixelSet = frozenset  # of (m, n) pixel indices
 
@@ -49,7 +49,7 @@ def class_of_params(slopes: Slopes, alpha: int, beta: int) -> int:
     the second threshold then lands at beta - (k0*c - l0*d), determined
     modulo ad - bc.
     """
-    _, x, y = extended_gcd(slopes.a, slopes.b)
+    x, y = slopes.bezout
     k0, l0 = alpha * x, alpha * y
     return (beta - k0 * slopes.c + l0 * slopes.d) % slopes.count
 

@@ -2,14 +2,20 @@
 
 Monte Carlo corners are exact dyadic rationals (64-bit numerator over 2^64),
 so classification never leaves integer arithmetic and results are bit-stable
-for a given seed regardless of worker count.
+for a given seed regardless of worker count. Corners are classified a chunk
+at a time: one getrandbits call fills a chunk of draws, whose coordinates are
+spread into packed integer lanes so that a few big-integer operations give
+every draw's class parameters. The random stream, and so every count, is the
+same as drawing and classifying one corner at a time.
 """
 from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .digitize import (
     AngleSpec,
@@ -20,7 +26,7 @@ from .digitize import (
     is_pixel_center,
 )
 from .errors import PixelCenterHit, WindowTooSmall
-from .exact import extended_gcd, floor_exact
+from .exact import floor_exact
 from .partition import partition_unit_square
 from .shapes import class_of_params, class_signatures
 
@@ -36,12 +42,13 @@ def _gamma_p(s: float, x: float) -> float:
     return total * math.exp(s * math.log(x) - x - math.lgamma(s))
 
 
+@lru_cache
 def chi2_q999(dof: int) -> float:
     """0.999 quantile of the chi-square distribution with `dof` degrees of
     freedom, to 6 decimals; 0.0 for dof 0, where chi-square is always 0.
 
     Bisection on P(dof/2, q/2) == 0.999 over a bracket reaching 10 standard
-    deviations past the mean.
+    deviations past the mean; memoised, as a verdict reads it twice.
     """
     if dof == 0:
         return 0.0
@@ -56,9 +63,11 @@ def chi2_q999(dof: int) -> float:
 
 
 _BLOCK = 1 << 15
+_CHUNK = 1 << 9  # draws per packed-lane chunk: whole blocks outgrow the cache and the heap
 _Q_BITS = 64
 _Q = 1 << _Q_BITS
 _HALF_Q = 1 << (_Q_BITS - 1)
+_CENTRE = (_HALF_Q | _HALF_Q << _Q_BITS).to_bytes(16, "little")  # the lane of (1/2, 1/2)
 
 
 @dataclass(frozen=True)
@@ -121,26 +130,73 @@ class ClassHistogram:
 
 
 def _count_block(slopes_tuple, seed, block, take):
-    """Classify `take` dyadic-rational corners from one seeded block."""
+    """Classify `take` dyadic-rational corners from one seeded block.
+
+    Draws come in chunks of up to _CHUNK 128-bit lanes of one getrandbits
+    call: px in bits 0-63 of a lane, py in bits 64-127, the same words as two
+    getrandbits(64) calls. A pixel-centre draw is dropped, counted as
+    resampled and replaced from the next chunk, as a per-sample redraw would.
+    The kept px and py are spread into lanes of `words` 64-bit words, so
+    that off + a*px - b*py stays in [0, (|a|+|b|+1) * 2^64) and never borrows
+    across lanes: one shift then gives every lane's ceiling of
+    (a*nx - b*ny) / 2^64, offset by (|a|+|b|) // 2, in its low ka bits, and
+    the next lane's low word in its top 64. The key bits alpha | beta << ka
+    lie below that word, so only beta needs a mask. Each distinct key is
+    classified once by class_of_params.
+    """
     a, b, c, d = slopes_tuple
-    det = a * d - b * c
-    big_d = abs(det)
-    _, x, y = extended_gcd(a, b)
+    slopes = Slopes(a, b, c, d)
+    sa, sc = abs(a) + abs(b), abs(c) + abs(d)
+    ka, kc = sa.bit_length(), sc.bit_length()  # bits of alpha and beta in a key
+    words = -(-(_Q_BITS + ka + kc) // 64)
+    lane = 8 * words
+    key_bytes = -(-(ka + kc) // 8)
+    # lane value (sa // 2 + ceil(v / 2^64)) * 2^64 + r, 0 <= r < 2^64, for v = a*nx - b*ny
+    off_a = (sa // 2 + 1) * _Q - 1 - (a - b) * _HALF_Q
+    off_c = (sc // 2 + 1) * _Q - 1 - (c - d) * _HALF_Q
+    lanes = {}  # chunk size -> (offsets and beta mask repeated per lane)
+    buf = bytearray(lane * _CHUNK)
+    buf_view = memoryview(buf)
+    buf_words = buf_view.cast("Q")
     rng = random.Random(f"{seed}/{block}")
-    counts = [0] * big_d
+    keys = Counter()
     resampled = 0
-    for _ in range(take):
-        while True:
-            px = rng.getrandbits(_Q_BITS)
-            py = rng.getrandbits(_Q_BITS)
-            if px != _HALF_Q or py != _HALF_Q:
-                break
-            resampled += 1  # corner fell on a pixel center
-        nx = px - _HALF_Q  # numerator of x0 - 1/2 over 2^64
-        ny = py - _HALF_Q
-        alpha = -((-(a * nx - b * ny)) >> _Q_BITS)  # exact ceiling
-        beta = -((-(c * nx - d * ny)) >> _Q_BITS)
-        counts[(beta - alpha * x * c + alpha * y * d) % big_d] += 1
+    while take:
+        t = min(_CHUNK, take)
+        raw = rng.getrandbits(128 * t).to_bytes(16 * t, "little")
+        at = raw.find(_CENTRE)
+        if at >= 0:
+            kept, start = [], 0
+            while at >= 0:
+                if at % 16 == 0:  # a whole lane, not bytes straddling two
+                    kept.append(raw[start:at])
+                    start = at + 16
+                at = raw.find(_CENTRE, at + 1)
+            kept.append(raw[start:])
+            raw = b"".join(kept)
+            resampled += t - len(raw) // 16
+            t = len(raw) // 16
+        take -= t
+        if t not in lanes:
+            ones = int.from_bytes((b"\1" + bytes(lane - 1)) * t, "little")
+            lanes[t] = (off_a * ones, off_c * ones, ((1 << kc) - 1) * ones)
+        lane_a, lane_c, mask_c = lanes[t]
+        raw_words = memoryview(raw).cast("Q")
+        n = t * lane
+        buf_words[: t * words : words] = raw_words[0::2]
+        px = int.from_bytes(buf_view[:n], "little")
+        buf_words[: t * words : words] = raw_words[1::2]
+        py = int.from_bytes(buf_view[:n], "little")
+        del raw_words, raw  # lowers the peak heap of the lane arithmetic below
+        alphas = (lane_a + a * px - b * py) >> _Q_BITS
+        betas = ((lane_c + c * px - d * py) >> _Q_BITS) & mask_c
+        packed = (alphas | betas << ka).to_bytes(n, "little")
+        keys.update(zip(*[packed[j::lane] for j in range(key_bytes)]))
+    counts = [0] * slopes.count
+    for key, cnt in keys.items():
+        k = int.from_bytes(bytes(key), "little")
+        alpha, beta = (k & ((1 << ka) - 1)) - sa // 2, (k >> ka) - sc // 2
+        counts[class_of_params(slopes, alpha, beta)] += cnt
     return counts, resampled
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 import random
 from fractions import Fraction
 
@@ -19,7 +21,8 @@ from pixelwedge import (
     trace_region_boundary,
 )
 from pixelwedge.digitize import column_interval, region_pixels, window_columns
-from pixelwedge.exact import HALF, ceil_exact, floor_exact, gcd
+from pixelwedge.exact import HALF, ceil_exact, extended_gcd, floor_exact, gcd
+from pixelwedge.shapes import class_of_params
 
 from conftest import corner_st, slopes_st
 
@@ -273,3 +276,30 @@ class TestBoundaryTrace:
         if not members:
             return
         assert cells_enclosed(trace_region_boundary(spec, 4)) == members
+
+
+class TestSlopesBezout:
+    def test_cached_pair_leaves_eq_hash_repr_unchanged(self):
+        s, t = Slopes(2, 1, -3, 1), Slopes(2, 1, -3, 1)
+        before = (repr(s), hash(s))
+        x, y = s.bezout
+        assert 2 * x - 1 * y == 1
+        assert s.bezout is s.bezout
+        assert (repr(s), hash(s)) == before == (repr(t), hash(t))
+        assert repr(s) == "Slopes(a=2, b=1, c=-3, d=1)"
+        assert s == t and {s: 1}[t] == 1
+        assert [f.name for f in dataclasses.fields(Slopes)] == ["a", "b", "c", "d"]
+        assert pickle.loads(pickle.dumps(s)) == s
+
+    def test_class_of_params_runs_extended_gcd_once_per_slopes(self, monkeypatch):
+        calls = []
+
+        def counting(a, b):
+            calls.append((a, b))
+            return extended_gcd(a, b)
+
+        monkeypatch.setattr("pixelwedge.digitize.extended_gcd", counting)
+        slopes = Slopes(7, 2, -5, 3)
+        classes = {class_of_params(slopes, alpha, beta) for alpha in range(-6, 6) for beta in range(-6, 6)}
+        assert classes == set(range(slopes.count))
+        assert calls == [(7, 2)]

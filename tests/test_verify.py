@@ -18,6 +18,8 @@ from pixelwedge import (
     sample_class_frequencies,
     theorem_sweep,
 )
+from pixelwedge import verify
+from pixelwedge.exact import extended_gcd
 from pixelwedge.verify import chi2_q999, coprime_pairs
 
 F = Fraction
@@ -113,6 +115,150 @@ class TestPinnedSamples:
         r = subprocess.run([sys.executable, "-m", "pixelwedge", *argv], capture_output=True, timeout=120)
         assert (r.returncode, r.stderr) == (0, b"")
         assert hashlib.sha256(r.stdout).hexdigest() == PINNED_CLI[key]
+
+
+def scalar_count_block(slopes_tuple, seed, block, take):
+    """The one-corner-per-turn sampler the packed-lane kernel replaced; the
+    oracle for `verify._count_block`."""
+    a, b, c, d = slopes_tuple
+    big_d = abs(a * d - b * c)
+    _, x, y = extended_gcd(a, b)
+    rng = random.Random(f"{seed}/{block}")
+    counts = [0] * big_d
+    resampled = 0
+    for _ in range(take):
+        while True:
+            px = rng.getrandbits(64)
+            py = rng.getrandbits(64)
+            if px != 1 << 63 or py != 1 << 63:
+                break
+            resampled += 1  # corner fell on a pixel center
+        nx = px - (1 << 63)  # numerator of x0 - 1/2 over 2^64
+        ny = py - (1 << 63)
+        alpha = -((-(a * nx - b * ny)) >> 64)  # exact ceiling
+        beta = -((-(c * nx - d * ny)) >> 64)
+        counts[(beta - alpha * x * c + alpha * y * d) % big_d] += 1
+    return counts, resampled
+
+
+def scalar_sample(pair, n, seed):
+    """(counts, resampled, chisq) of sample_class_frequencies, by the oracle."""
+    counts = [0] * abs(pair[0] * pair[3] - pair[1] * pair[2])
+    resampled = 0
+    for i in range(-(-n // verify._BLOCK)):
+        block_counts, block_resampled = scalar_count_block(pair, seed, i, min(verify._BLOCK, n - i * verify._BLOCK))
+        counts = [u + v for u, v in zip(counts, block_counts)]
+        resampled += block_resampled
+    expected = n / len(counts)
+    return tuple(counts), resampled, sum((cnt - expected) ** 2 / expected for cnt in counts)
+
+
+SMALL_PAIRS = [
+    (a, b, c, d) for a, b in coprime_pairs(3) for c, d in coprime_pairs(3) if a * d - b * c
+]
+# pairs whose lanes and keys are wider than those of small entries
+WIDE_PAIRS = [
+    (300, 1, -1, 300),  # D = 90001
+    (123, -97, 77, 65),
+    (1000, 999, 999, 998),
+    (2**70 + 1, 2**70, 2**70, 2**70 - 1),  # D = 1
+    (2**70 + 1, 2**70, 2**70 + 3, 2**70 + 2),  # D = 2
+    (2**40 + 1, 2**40, 2**40 + 4, 2**40 + 3),  # D = 3: keys wider than 64 bits
+    (2**70 + 1, 2**70, 2**70 + 4, 2**70 + 3),  # D = 3
+]
+
+
+def sampled(pair, n, seed):
+    hist = sample_class_frequencies(Slopes(*pair), n, seed)
+    return hist.counts, hist.resampled, hist.chisq
+
+
+class TestPackedKernel:
+    def test_all_small_pairs_match_scalar_sampler(self):
+        assert len(SMALL_PAIRS) == 960
+        for pair in SMALL_PAIRS:
+            for n in (1, 1000):
+                assert sampled(pair, n, 3) == scalar_sample(pair, n, 3), (pair, n)
+
+    def test_block_boundaries_match_scalar_sampler(self):
+        for pair in SMALL_PAIRS[::20]:
+            for n in (32767, 32769):
+                assert sampled(pair, n, 9) == scalar_sample(pair, n, 9), (pair, n)
+
+    @pytest.mark.parametrize("pair", WIDE_PAIRS)
+    def test_wide_lanes_match_scalar_sampler(self, pair):
+        for n in (1, 1000, 2049):
+            assert sampled(pair, n, 5) == scalar_sample(pair, n, 5), n
+
+
+HALF_Q = 1 << 63
+
+
+class ScriptedRandom:
+    """Serves a fixed list of 32-bit words, least significant first, as
+    CPython's Mersenne Twister does for getrandbits(k), k > 32; the seed is
+    ignored."""
+
+    script: list[int] = []
+
+    def __init__(self, seed=None):
+        self.words = iter(self.script)
+
+    def getrandbits(self, k):
+        out = 0
+        for i in range(-(-k // 32)):
+            word = next(self.words)
+            if k - 32 * i < 32:
+                word >>= 32 - (k - 32 * i)
+            out |= word << (32 * i)
+        return out
+
+
+def words_of(draws):
+    return [w for px, py in draws for v in (px, py) for w in (v & 0xFFFFFFFF, v >> 32)]
+
+
+class TestPixelCentreRedraw:
+    def test_stub_matches_mersenne_twister_word_order(self, monkeypatch):
+        ref = random.Random(1)
+        monkeypatch.setattr(ScriptedRandom, "script", [ref.getrandbits(32) for _ in range(64)])
+        ref.seed(1)
+        stub = ScriptedRandom()
+        assert [stub.getrandbits(64) for _ in range(4)] == [ref.getrandbits(64) for _ in range(4)]
+        assert stub.getrandbits(128 * 3) == ref.getrandbits(128 * 3)
+        assert stub.getrandbits(40) == ref.getrandbits(40)
+
+    @pytest.mark.parametrize("pair", [(2, 1, -3, 1), (2**70 + 1, 2**70, 2**70 + 3, 2**70 + 2)])
+    def test_centre_draws_are_redrawn_like_scalar_sampler(self, monkeypatch, pair):
+        n = 2100
+        rng = random.Random(8)
+        draws = [(rng.getrandbits(64), rng.getrandbits(64)) for _ in range(n + 5)]
+        # first draw, a chunk's last draw, two in a row, and the block's last draw
+        hits = (0, verify._CHUNK - 1, 1500, 1501, n + 3)
+        for i in hits:
+            draws[i] = (HALF_Q, HALF_Q)
+        draws[700] = (HALF_Q, draws[700][1])  # only px central: not a hit
+        # py of one draw then px of the next: the centre's bytes, across two lanes
+        draws[900] = (draws[900][0], HALF_Q)
+        draws[901] = (HALF_Q, draws[901][1])
+        # corners on a boundary line of either pair, where a ceiling is exact
+        draws[1100:1104] = [(HALF_Q + HALF_Q // 2, 0), (HALF_Q + HALF_Q // 2,) * 2, (HALF_Q, 0), (0, 0)]
+        monkeypatch.setattr("pixelwedge.verify.random.Random", ScriptedRandom)
+        monkeypatch.setattr(ScriptedRandom, "script", words_of(draws))
+        got = verify._count_block(pair, 0, 0, n)
+        want = scalar_count_block(pair, 0, 0, n)
+        assert got == want
+        assert got[1] == len(hits)
+        assert sum(got[0]) == n
+
+    def test_more_centre_draws_than_samples(self, monkeypatch):
+        rng = random.Random(3)
+        draws = [(HALF_Q, HALF_Q)] * 1100 + [(rng.getrandbits(64), rng.getrandbits(64)) for _ in range(10)]
+        monkeypatch.setattr("pixelwedge.verify.random.Random", ScriptedRandom)
+        monkeypatch.setattr(ScriptedRandom, "script", words_of(draws))
+        got = verify._count_block((3, -1, -1, 2), 0, 0, 10)
+        assert got == scalar_count_block((3, -1, -1, 2), 0, 0, 10)
+        assert got[1] == 1100
 
 
 # The 0.999 chi-square quantiles the verdict used as a fixed table, to 6 decimals.
