@@ -8,13 +8,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
 
 from .digitize import AngleSpec, Slopes, digitize_angle_path
 from .errors import DomainError, UnsupportedFormat
-from .exact import format_rational, gcd, parse_rational
+from .exact import format_rational, parse_rational
 from .partition import partition_unit_square
 from .render import RenderOptions, render_partition, render_pixelset
 from .shapes import class_index, enumerate_shapes, region_params, shape_of_spec
@@ -38,7 +39,7 @@ def parse_slope_pair(text: str) -> tuple[int, int]:
         p, q = f.numerator, f.denominator
     if p == 0 and q == 0:
         raise ValueError("slope 0/0 is not a direction")
-    g = gcd(p, q)
+    g = math.gcd(p, q)
     return p // g, q // g
 
 
@@ -85,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
         if corner:
             p.add_argument("--corner", type=parse_corner, required=True, metavar="x,y")
         if window:
-            p.add_argument("--window", type=int, default=None, metavar="W")
+            p.add_argument("--window", type=positive_int, default=None, metavar="W")
         if seeded:
             p.add_argument("--samples", type=positive_int, default=100000, metavar="N")
             p.add_argument("--seed", type=int, default=0, metavar="S")
@@ -94,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     add("digitize", "digitize the angular path at the corner", corner=True,
-        window=True, formats=("json",), default_format="json")
+        window=True, formats=("json",), default_format="json").set_defaults(window=8)
     add("classify", "shape class of the digitized angle at the corner", corner=True)
     add("enumerate", "all shape classes of a slope pair", window=True)
     add("partition", "unit-square partition of corner positions by class",
@@ -104,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
         window=True, formats=("ascii", "pbm", "svg", "json"))
 
     sweep = sub.add_parser("sweep", help="exhaustive small-slope shape-count check")
-    sweep.add_argument("max_shapes", type=int, nargs="?", default=8)
+    sweep.add_argument("max_shapes", type=positive_int, nargs="?", default=8)
     sweep.add_argument("--format", choices=("ascii", "json"), default="ascii")
     sweep.add_argument("--out", default=None, metavar="PATH")
     return parser
@@ -128,9 +129,7 @@ def _merge_flag_values(argv: list[str]) -> list[str]:
 
 def _run(args) -> bytes:
     if args.command == "digitize":
-        spec = _spec(args)
-        extent = args.window if args.window else 8
-        path = digitize_angle_path(spec, extent)
+        path = digitize_angle_path(_spec(args), args.window)
         return (json.dumps([list(v) for v in path]) + "\n").encode()
 
     if args.command == "classify":

@@ -10,9 +10,9 @@ would be ambiguous at once.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .errors import (
     EmptyRegion,
@@ -20,7 +20,7 @@ from .errors import (
     ParallelSlopes,
     PixelCenterHit,
 )
-from .exact import HALF, ceil_exact, extended_gcd, floor_exact, gcd
+from .exact import HALF, extended_gcd
 
 Point = tuple[Fraction, Fraction]
 PixelIndex = tuple[int, int]
@@ -44,7 +44,7 @@ def round_nearest(r: Fraction | int) -> int:
     r = Fraction(r)
     if r.denominator == 2:
         raise HalfIntegerTie(f"{r} is halfway between integers")
-    return floor_exact(r + HALF)
+    return math.floor(r + HALF)
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,9 @@ class Slopes:
 
     The sign of each pair selects one of the two half-planes its line bounds;
     negating (a, b) or (c, d) picks the opposite one, so all four corner
-    regions of the line crossing are reachable.
+    regions of the line crossing are reachable. `bezout` is a pair (x, y)
+    with a*x - b*y == 1, computed once at construction and kept outside the
+    dataclass fields, so eq, hash and repr ignore it.
     """
 
     a: int
@@ -63,10 +65,12 @@ class Slopes:
 
     def __post_init__(self):
         for p, q, name in ((self.a, self.b, "first"), (self.c, self.d, "second")):
-            if gcd(p, q) != 1:
+            if math.gcd(p, q) != 1:
                 raise ValueError(f"{name} slope pair ({p}, {q}) is not coprime")
         if self.det == 0:
             raise ParallelSlopes(f"slopes {self.a}/{self.b} and {self.c}/{self.d} are parallel")
+        _, x, y = extended_gcd(self.a, self.b)
+        object.__setattr__(self, "bezout", (x, y))
 
     @property
     def det(self) -> int:
@@ -76,13 +80,6 @@ class Slopes:
     def count(self) -> int:
         """D = |ad - bc|: the number of distinct digitized shapes."""
         return abs(self.det)
-
-    @cached_property
-    def bezout(self) -> tuple[int, int]:
-        """(x, y) with a*x - b*y == 1; computed once per instance, outside
-        the dataclass fields, so eq, hash and repr ignore it."""
-        _, x, y = extended_gcd(self.a, self.b)
-        return x, y
 
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)
@@ -133,6 +130,29 @@ def angle_thresholds(spec: AngleSpec) -> tuple[Fraction, Fraction]:
     return alpha, beta
 
 
+def threshold_ceilings(slopes: Slopes, x: int, y: int, q: int) -> tuple[int, int]:
+    """(ceil(alpha), ceil(beta)) of the corner (x/q, y/q), q > 0.
+
+    a*m - b*n is an integer, so it is >= alpha iff it is >= ceil(alpha), and
+    likewise for beta. Over 2q the corner less (1/2, 1/2) has integer
+    numerators, so each ceiling is one floor division.
+    """
+    u, v = 2 * x - q, 2 * y - q
+    return (
+        -((slopes.b * v - slopes.a * u) // (2 * q)),
+        -((slopes.d * v - slopes.c * u) // (2 * q)),
+    )
+
+
+def corner_ceilings(spec: AngleSpec) -> tuple[int, int]:
+    """`threshold_ceilings` of the spec's corner, over its common denominator."""
+    x0, y0 = spec.corner
+    q = math.lcm(x0.denominator, y0.denominator)
+    return threshold_ceilings(
+        spec.slopes, x0.numerator * (q // x0.denominator), y0.numerator * (q // y0.denominator), q
+    )
+
+
 def pixel_in_angle(px: PixelIndex, spec: AngleSpec) -> bool:
     """Closed-inequality membership of a pixel, decided at its center point."""
     alpha, beta = angle_thresholds(spec)
@@ -140,38 +160,12 @@ def pixel_in_angle(px: PixelIndex, spec: AngleSpec) -> bool:
     return spec.a * m - spec.b * n >= alpha and spec.c * m - spec.d * n >= beta
 
 
-def column_interval(
-    a: int, b: int, c: int, d: int, alpha, beta, m: int
-) -> tuple[int, int] | None:
-    """Pixel rows of column m satisfying a*m - b*n >= alpha, c*m - d*n >= beta.
-
-    Returns None when the column is empty, else an inclusive (lo, hi) pair in
-    which either side may be None for a half-infinite interval; callers clamp
-    with their window. Thresholds may be ints or Fractions; all arithmetic is
-    exact either way.
-    """
-    lo, hi = None, None  # None = unbounded on that side
-    for p, q, t in ((a, b, alpha), (c, d, beta)):
-        v = p * m - t  # constraint becomes q*n <= v
-        if q > 0:
-            bound = v // q if isinstance(v, int) else floor_exact(v / q)
-            hi = bound if hi is None else min(hi, bound)
-        elif q < 0:
-            bound = -(v // -q) if isinstance(v, int) else ceil_exact(v / q)
-            lo = bound if lo is None else max(lo, bound)
-        else:
-            if v < 0:  # q == 0: column is all-or-nothing
-                return None
-    return lo, hi
-
-
 def window_columns(
     a: int, b: int, c: int, d: int, alpha: int, beta: int, anchor: PixelIndex, window: int
 ) -> list[tuple[int, int, int]]:
     """Member rows (m, lo, hi), inclusive, of the columns of the
     (2*window+1)^2 box centred on `anchor`, in increasing m, for integer
-    thresholds alpha and beta; empty columns are left out. `column_interval`
-    is the reference for one column, with the same case split on b and d.
+    thresholds alpha and beta; empty columns are left out.
     """
     am, an = anchor
     bottom, top = an - window, an + window
@@ -212,13 +206,9 @@ def region_pixels(
     (default: the pixel containing the corner)."""
     if window < 1:
         raise ValueError("window must be >= 1")
-    alpha, beta = angle_thresholds(spec)
     if anchor is None:
-        anchor = (floor_exact(spec.corner[0]), floor_exact(spec.corner[1]))
-    # a*m - b*n is an integer, so it is >= alpha iff it is >= ceil(alpha)
-    cols = window_columns(
-        spec.a, spec.b, spec.c, spec.d, ceil_exact(alpha), ceil_exact(beta), anchor, window
-    )
+        anchor = (math.floor(spec.corner[0]), math.floor(spec.corner[1]))
+    cols = window_columns(spec.a, spec.b, spec.c, spec.d, *corner_ceilings(spec), anchor, window)
     return {(m, n) for m, lo, hi in cols for n in range(lo, hi + 1)}
 
 
@@ -230,10 +220,7 @@ def _on_half_line_checks(p: Point, q: Point) -> None:
     for axis in (0, 1):
         if p[axis] == q[axis] and is_half_integer(p[axis]):
             o = 1 - axis
-            lo, hi = sorted((p[o], q[o]))
-            k_min = ceil_exact(lo - HALF)
-            k_max = floor_exact(hi - HALF)
-            if k_min <= k_max:
+            if _crossing_params(*sorted((p[o], q[o]))):
                 raise PixelCenterHit(
                     "segment lies on a half-integer line and crosses a pixel center"
                 )
@@ -244,8 +231,8 @@ def _on_half_line_checks(p: Point, q: Point) -> None:
 
 def _crossing_params(lo: Fraction, hi: Fraction) -> list[Fraction]:
     """Half-integer values k + 1/2 inside [lo, hi] (inclusive)."""
-    k_min = ceil_exact(lo - HALF)
-    k_max = floor_exact(hi - HALF)
+    k_min = math.ceil(lo - HALF)
+    k_max = math.floor(hi - HALF)
     return [Fraction(2 * k + 1, 2) for k in range(k_min, k_max + 1)]
 
 
@@ -290,7 +277,7 @@ def digitize_polyline(points: list[Point]) -> GridPath:
     cuts = [Fraction(0)] + sorted(events) + [Fraction(nseg)]
 
     def rounded_at(t: Fraction) -> tuple[int, int]:
-        i = min(floor_exact(t), nseg - 1)
+        i = min(math.floor(t), nseg - 1)
         p, q = pts[i], pts[i + 1]
         s = t - i
         x = p[0] + s * (q[0] - p[0])

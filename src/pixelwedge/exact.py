@@ -1,22 +1,14 @@
 """Exact rational arithmetic and the small number theory the geometry needs.
 
 Everything downstream computes with `fractions.Fraction` (lowest terms,
-positive denominator, arbitrary precision) or plain ints. No floating point
-enters any predicate.
+positive denominator, arbitrary precision) or plain ints, with `math` for
+gcd, floor and ceiling. No floating point enters any predicate.
 """
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
-Rational = Fraction
-
 HALF = Fraction(1, 2)
-
-
-def gcd(u: int, v: int) -> int:
-    """Greatest common divisor of |u| and |v|; gcd(0, 0) == 0."""
-    return math.gcd(u, v)
 
 
 def extended_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -39,15 +31,6 @@ def extended_gcd(a: int, b: int) -> tuple[int, int, int]:
     x = old_s if a >= 0 else -old_s
     y = -old_t if b >= 0 else old_t
     return old_r, x, y
-
-
-def ceil_exact(r: Fraction | int) -> int:
-    """Smallest integer >= r, computed exactly."""
-    return math.ceil(r)
-
-
-def floor_exact(r: Fraction | int) -> int:
-    return math.floor(r)
 
 
 def parse_rational(text: str) -> Fraction:

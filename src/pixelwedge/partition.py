@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from .digitize import Point, Slopes
 from .errors import PartitionBoundary
+from .exact import format_rational
 
 Vec = tuple[Fraction, Fraction]
 
@@ -56,13 +57,11 @@ class Parallelogram:
         return abs(_cross(self.edge1, self.edge2))
 
     def to_json_dict(self) -> dict:
-        from .exact import format_rational as fr
-
         return {
             "index": self.index,
-            "base": [fr(self.base[0]), fr(self.base[1])],
-            "edge1": [fr(self.edge1[0]), fr(self.edge1[1])],
-            "edge2": [fr(self.edge2[0]), fr(self.edge2[1])],
+            "base": [format_rational(v) for v in self.base],
+            "edge1": [format_rational(v) for v in self.edge1],
+            "edge2": [format_rational(v) for v in self.edge2],
         }
 
 

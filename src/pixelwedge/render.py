@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import EmptySet, UnsupportedFormat
+from .exact import format_rational
 from .partition import Parallelogram, cell_fragments, polygon_area
 from .shapes import canonicalize
 
@@ -158,13 +159,11 @@ def render_partition(cells: list[Parallelogram], opts: RenderOptions) -> bytes:
     if opts.format == "svg":
         return _svg_partition(cells, max(opts.scale, 64)).encode()
     if opts.format == "json":
-        from .exact import format_rational as fr
-
         payload = {
             "cells": [
                 {
                     **cell.to_json_dict(),
-                    "corners": [[fr(x), fr(y)] for x, y in cell.corners()],
+                    "corners": [[format_rational(x), format_rational(y)] for x, y in cell.corners()],
                 }
                 for cell in cells
             ]

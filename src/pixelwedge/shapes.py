@@ -10,14 +10,13 @@ literally equal.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import lcm
 
-from .digitize import AngleSpec, PixelIndex, Slopes, angle_thresholds, window_columns
+from .digitize import AngleSpec, PixelIndex, Slopes, angle_thresholds, corner_ceilings, window_columns
 from .errors import InvalidAxis, WindowTooSmall
-from .exact import ceil_exact
 
 PixelSet = frozenset  # of (m, n) pixel indices
 
@@ -34,7 +33,7 @@ class RegionParams:
 
 def region_params(spec: AngleSpec) -> RegionParams:
     alpha, beta = angle_thresholds(spec)
-    return RegionParams(alpha, beta, ceil_exact(alpha), ceil_exact(beta))
+    return RegionParams(alpha, beta, math.ceil(alpha), math.ceil(beta))
 
 
 def shift_params(slopes: Slopes, alpha: int, beta: int, k: int, l: int) -> tuple[int, int]:
@@ -55,13 +54,8 @@ def class_of_params(slopes: Slopes, alpha: int, beta: int) -> int:
 
 
 def class_index(spec: AngleSpec) -> int:
-    """Class of the corner's integer thresholds, by floor division over the
-    corner's common denominator q: 2q * (x0 - 1/2) == 2X - q for x0 == X/q."""
-    (x0, y0), a, b, c, d = spec.corner, spec.a, spec.b, spec.c, spec.d
-    q = lcm(x0.denominator, y0.denominator)
-    u = 2 * x0.numerator * (q // x0.denominator) - q
-    v = 2 * y0.numerator * (q // y0.denominator) - q
-    return class_of_params(spec.slopes, -((b * v - a * u) // (2 * q)), -((d * v - c * u) // (2 * q)))
+    """Class of the corner's integer thresholds."""
+    return class_of_params(spec.slopes, *corner_ceilings(spec))
 
 
 def equivalent(p1: RegionParams, p2: RegionParams, slopes: Slopes) -> bool:
@@ -181,12 +175,10 @@ def shape_of_spec(spec: AngleSpec, window: int | None = None) -> ShapeClass:
     """Canonical windowed bitmap of one concrete digitized angle."""
     slopes = spec.slopes
     w = default_window(slopes) if window is None else window
-    p = region_params(spec)
-    sig, corner = class_fingerprint(slopes, p.alpha_ceil, p.beta_ceil, w)
+    alpha, beta = corner_ceilings(spec)
+    sig, corner = class_fingerprint(slopes, alpha, beta, w)
     bitmap = _bitmaps([sig])[0] if sig else frozenset()
-    return ShapeClass(
-        slopes.as_tuple(), class_of_params(slopes, p.alpha_ceil, p.beta_ceil), w, bitmap, corner
-    )
+    return ShapeClass(slopes.as_tuple(), class_of_params(slopes, alpha, beta), w, bitmap, corner)
 
 
 # --- reflections ---------------------------------------------------------------

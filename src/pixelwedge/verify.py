@@ -21,12 +21,13 @@ from .digitize import (
     AngleSpec,
     Slopes,
     angle_thresholds,
-    column_interval,
+    corner_ceilings,
     digitize_angle_path,
     is_pixel_center,
+    threshold_ceilings,
+    window_columns,
 )
 from .errors import PixelCenterHit, WindowTooSmall
-from .exact import floor_exact
 from .partition import partition_unit_square
 from .shapes import class_of_params, class_signatures
 
@@ -244,16 +245,14 @@ def cells_match_classes(slopes: Slopes) -> bool:
     multiple of 1/(2D) and its edges multiples of 1/D, or the check fails.
     """
     D = slopes.count
-    a, b, c, d = slopes.as_tuple()
     for cell in partition_unit_square(slopes):
         nums = [divmod(r.numerator * 2 * D, r.denominator) for r in cell.base]
         nums += [divmod(r.numerator * D, r.denominator) for r in cell.edge1 + cell.edge2]
         if any(rem for _, rem in nums):
             return False
         bx, by, ux, uy, vx, vy = (n for n, _ in nums)
-        x, y = bx + ux + vx - D, by + uy + vy - D  # centre - (1/2, 1/2), over 2D
-        alpha, beta = -((b * y - a * x) // (2 * D)), -((d * y - c * x) // (2 * D))
-        if class_of_params(slopes, alpha, beta) != cell.index:
+        ceilings = threshold_ceilings(slopes, bx + ux + vx, by + uy + vy, 2 * D)
+        if class_of_params(slopes, *ceilings) != cell.index:
             return False
     return True
 
@@ -287,8 +286,7 @@ def hobby_region_check(spec: AngleSpec, window: int) -> bool:
     if is_pixel_center(spec.corner):
         raise PixelCenterHit("corner is a pixel center")
     alpha, beta = angle_thresholds(spec)
-    slopes = spec.slopes
-    m0, n0 = floor_exact(spec.corner[0]), floor_exact(spec.corner[1])
+    m0, n0 = math.floor(spec.corner[0]), math.floor(spec.corner[1])
     w = window
     m_range = range(m0 - w - 1, m0 + w + 2)
     n_range = (n0 - w - 1, n0 + w + 1)
@@ -305,39 +303,29 @@ def hobby_region_check(spec: AngleSpec, window: int) -> bool:
             key = (min(x1, x2), y1)
             edge_parity[key] = edge_parity.get(key, 0) ^ 1
 
-    a, b, c, d = slopes.as_tuple()
-    for m in range(m0 - w, m0 + w + 1):
-        flips = set()
-        iv = column_interval(a, b, c, d, alpha, beta, m)
-        if iv is not None:
-            lo, hi = iv
-            if lo is not None and hi is not None and lo > hi:
-                pass  # empty column
-            else:
-                if lo is not None and n0 - w <= lo <= n0 + w:
-                    flips.add(lo)
-                if hi is not None and n0 - w <= hi + 1 <= n0 + w:
-                    flips.add(hi + 1)
-        path_edges = {
-            k for (col, k), parity in edge_parity.items()
-            if col == m and parity and n0 - w <= k <= n0 + w
-        }
-        if flips != path_edges:
-            return False
-    return True
+    # one row and column past the window, so that an end clamped to the box
+    # lies outside the window and is never taken for a flip
+    cols = window_columns(spec.a, spec.b, spec.c, spec.d, *corner_ceilings(spec), (m0, n0), w + 1)
+    flips = {
+        (m, n) for m, lo, hi in cols for n in (lo, hi + 1)
+        if abs(m - m0) <= w and abs(n - n0) <= w
+    }
+    path_edges = {
+        (m, n) for (m, n), parity in edge_parity.items()
+        if parity and abs(m - m0) <= w and abs(n - n0) <= w
+    }
+    return flips == path_edges
 
 
 # --- exhaustive small-slope sweep ------------------------------------------------
 
 
 def coprime_pairs(bound: int) -> list[tuple[int, int]]:
-    from .exact import gcd
-
     return [
         (p, q)
         for p in range(-bound, bound + 1)
         for q in range(-bound, bound + 1)
-        if gcd(p, q) == 1
+        if math.gcd(p, q) == 1
     ]
 
 

@@ -23,9 +23,11 @@ from pixelwedge import (
     sample_class_frequencies,
     theorem_sweep,
 )
-from pixelwedge.digitize import column_interval
+from pixelwedge.digitize import window_columns
 from pixelwedge.shapes import class_fingerprint, class_of_params
 from pixelwedge.verify import chi2_q999, coprime_pairs
+
+from oracles import column_interval
 
 F = Fraction
 
@@ -177,9 +179,10 @@ def test_criterion_8_ceiling_identity():
             slopes = Slopes(a, b, c, d)
             alpha = F(rng.randint(-1200, 1200), rng.randint(1, 97))
             beta = F(rng.randint(-1200, 1200), rng.randint(1, 97))
-            assert box_pixels(slopes, alpha, beta) == box_pixels(
-                slopes, math.ceil(alpha), math.ceil(beta)
-            )
+            expected = box_pixels(slopes, alpha, beta)
+            assert expected == box_pixels(slopes, math.ceil(alpha), math.ceil(beta))
+            cols = window_columns(a, b, c, d, math.ceil(alpha), math.ceil(beta), (0, 0), 10)
+            assert expected == {(m, n) for m, lo, hi in cols for n in range(lo, hi + 1)}
 
 
 def test_criterion_9_apex_asymmetry():

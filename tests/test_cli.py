@@ -171,3 +171,26 @@ def test_partition_stdout_bytes_are_pinned():
         r = run("partition", "--slope1", s1, "--slope2", s2, "--format", fmt)
         assert r.returncode == 0, r.stderr
         assert hashlib.sha256(r.stdout).hexdigest() == digest, (s1, s2, fmt)
+
+
+def test_window_and_sweep_bound_below_one_are_usage_errors():
+    spec = ("--slope1", "2/1", "--slope2", "-3/1")
+    corner = ("--corner", "0.1,0.71")
+    for argv in (
+        ("digitize", *spec, *corner, "--window", "0"),
+        ("digitize", *spec, *corner, "--window", "-3"),
+        ("render", *spec, *corner, "--window", "0"),
+        ("render", *spec, *corner, "--window", "-3"),
+        ("enumerate", *spec, "--window", "0"),
+        ("sweep", "0"),
+    ):
+        r = run(*argv)
+        assert r.returncode == 2, argv
+        assert r.stdout == b"" and b"must be >= 1, got" in r.stderr, argv
+
+
+def test_digitize_window_defaults_to_eight():
+    argv = ("digitize", "--slope1", "2/1", "--slope2", "-3/1", "--corner", "0.1,0.71")
+    r = run(*argv)
+    assert r.returncode == 0
+    assert r.stdout == run(*argv, "--window", "8").stdout != run(*argv, "--window", "3").stdout

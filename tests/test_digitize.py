@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -20,11 +21,12 @@ from pixelwedge import (
     round_nearest,
     trace_region_boundary,
 )
-from pixelwedge.digitize import column_interval, region_pixels, window_columns
-from pixelwedge.exact import HALF, ceil_exact, extended_gcd, floor_exact, gcd
+from pixelwedge.digitize import region_pixels, window_columns
+from pixelwedge.exact import HALF, extended_gcd
 from pixelwedge.shapes import class_of_params
 
 from conftest import corner_st, slopes_st
+from oracles import column_interval
 
 F = Fraction
 
@@ -40,11 +42,11 @@ def oracle_segment(p, q):
         if d == 0:
             continue
         lo, hi = sorted((p[axis], q[axis]))
-        for k in range(ceil_exact(lo - HALF), floor_exact(hi - HALF) + 1):
+        for k in range(math.ceil(lo - HALF), math.floor(hi - HALF) + 1):
             h = F(2 * k + 1, 2)
             events.append(((h - p[axis]) / d, axis, 1 if d > 0 else -1))
     events.sort()
-    pos = [floor_exact(p[0] + HALF), floor_exact(p[1] + HALF)]
+    pos = [math.floor(p[0] + HALF), math.floor(p[1] + HALF)]
     path = [tuple(pos)]
     for _, axis, step in events:
         pos[axis] += step
@@ -209,7 +211,7 @@ def clamped_interval_scan(a, b, c, d, alpha, beta, anchor, window):
 class TestWindowScan:
     # every coprime pair with entries <= 3: b = 0 and d = 0 occur, and each
     # pair appears in both orders, so det takes both signs
-    PAIRS = [(p, q) for p in range(-3, 4) for q in range(-3, 4) if gcd(p, q) == 1]
+    PAIRS = [(p, q) for p in range(-3, 4) for q in range(-3, 4) if math.gcd(p, q) == 1]
 
     def test_matches_column_interval_scan(self):
         rng = random.Random(93)
@@ -232,7 +234,7 @@ class TestWindowScan:
                       F(rng.randint(-300, 300), rng.randint(1, 30)))
             spec = AngleSpec(a, b, c, d, corner)
             window = rng.randint(1, 9)
-            am, an = floor_exact(corner[0]), floor_exact(corner[1])
+            am, an = math.floor(corner[0]), math.floor(corner[1])
             box = [(m, n) for m in range(am - window, am + window + 1)
                    for n in range(an - window, an + window + 1)]
             assert region_pixels(spec, window) == {px for px in box if pixel_in_angle(px, spec)}

@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
-from pixelwedge import ceil_exact, extended_gcd, format_rational, gcd, parse_rational
+from pixelwedge import extended_gcd, format_rational, parse_rational
 
 
 def test_gcd_examples():
@@ -39,20 +40,6 @@ def test_extended_gcd_bezout_identity_randomised():
         g, x, y = extended_gcd(a, b)
         assert g == 1 and a * x - b * y == 1
         done += 1
-
-
-def test_ceil_examples():
-    assert ceil_exact(Fraction(3, 2)) == 2
-    assert ceil_exact(Fraction(-1, 1)) == -1
-    assert ceil_exact(Fraction(-2, 5)) == 0
-
-
-@given(
-    st.fractions(max_denominator=10**6),
-    st.integers(min_value=-10**9, max_value=10**9),
-)
-def test_ceil_shift_by_integer(p, q):
-    assert ceil_exact(p + q) == ceil_exact(p) + q
 
 
 @given(st.fractions(max_denominator=10**4), st.fractions(max_denominator=10**4))

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -22,8 +23,7 @@ from pixelwedge import (
     shape_of_spec,
     shift_params,
 )
-from pixelwedge.digitize import angle_thresholds
-from pixelwedge.exact import floor_exact, gcd
+from pixelwedge.digitize import angle_thresholds, corner_ceilings
 from pixelwedge.shapes import class_fingerprint
 from pixelwedge.verify import coprime_pairs
 
@@ -50,8 +50,8 @@ def oracle_same_shape(s1, s2, box=8, shift=8):
     raw center membership of the two angles agree on a whole box around the
     first corner. No clipping or normalisation is involved."""
     in1, in2 = _member_fn(s1), _member_fn(s2)
-    am = floor_exact(s1.corner[0] - F(1, 2))
-    an = floor_exact(s1.corner[1] - F(1, 2))
+    am = math.floor(s1.corner[0] - F(1, 2))
+    an = math.floor(s1.corner[1] - F(1, 2))
     cells = [
         (m, n)
         for m in range(am - box, am + box + 1)
@@ -155,6 +155,7 @@ class TestClassIndex:
                     for y in coords:
                         spec = AngleSpec(a, b, c, d, (x + rng.randint(-50, 50), y))
                         p = region_params(spec)
+                        assert corner_ceilings(spec) == (p.alpha_ceil, p.beta_ceil), spec
                         expected = class_of_params(spec.slopes, p.alpha_ceil, p.beta_ceil)
                         assert class_index(spec) == expected, spec
 
@@ -184,7 +185,7 @@ class TestEquivalent:
             (p, q)
             for p in range(-4, 5)
             for q in range(-4, 5)
-            if __import__("math").gcd(p, q) == 1
+            if math.gcd(p, q) == 1
         ]
         for _ in range(250):
             a, b = rng.choice(pairs)
@@ -298,7 +299,7 @@ def reference_shapes(slopes, window=None):
         shapes = []
         for j in range(slopes.count):
             # crossing of a*m - b*n = 0 and c*m - d*n = j
-            am, an = floor_exact(F(b * j, det)), floor_exact(F(a * j, det))
+            am, an = math.floor(F(b * j, det)), math.floor(F(a * j, det))
             pixels = {
                 (m, n)
                 for m in range(am - w, am + w + 1)
@@ -318,7 +319,7 @@ def reference_shapes(slopes, window=None):
 
 
 class TestEnumerateAgainstReference:
-    PAIRS = [(p, q) for p in range(-5, 6) for q in range(-5, 6) if gcd(p, q) == 1]
+    PAIRS = [(p, q) for p in range(-5, 6) for q in range(-5, 6) if math.gcd(p, q) == 1]
 
     def test_every_field_matches_pixel_by_pixel_reference(self):
         rng = random.Random(95)

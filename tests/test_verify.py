@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import pytest
 
 from pixelwedge import (
     AngleSpec,
+    DomainError,
     PixelCenterHit,
     Slopes,
     enumerate_shapes,
@@ -19,8 +21,11 @@ from pixelwedge import (
     theorem_sweep,
 )
 from pixelwedge import verify
+from pixelwedge.digitize import angle_thresholds, digitize_angle_path, is_pixel_center
 from pixelwedge.exact import extended_gcd
 from pixelwedge.verify import chi2_q999, coprime_pairs
+
+from oracles import column_interval
 
 F = Fraction
 
@@ -318,10 +323,104 @@ class TestExactAreas:
                 assert sum(exact_class_areas(Slopes(a, b, c, d))) == 1
 
 
+def interval_hobby_check(spec, window):
+    """hobby_region_check with its earlier flip test: one unclamped
+    column_interval per window column, each end a flip only inside the
+    window."""
+    if is_pixel_center(spec.corner):
+        raise PixelCenterHit("corner is a pixel center")
+    alpha, beta = angle_thresholds(spec)
+    m0, n0 = math.floor(spec.corner[0]), math.floor(spec.corner[1])
+    w = window
+    m_range = range(m0 - w - 1, m0 + w + 2)
+    n_range = (n0 - w - 1, n0 + w + 1)
+    if verify._integer_tie_in_window(spec.a, spec.b, alpha, m_range, n_range) or (
+        verify._integer_tie_in_window(spec.c, spec.d, beta, m_range, n_range)
+    ):
+        raise PixelCenterHit("a boundary line passes through a window pixel center")
+    path = digitize_angle_path(spec, w + 4)
+    edge_parity = {}
+    for (x1, y1), (x2, y2) in zip(path, path[1:]):
+        if y1 == y2:
+            key = (min(x1, x2), y1)
+            edge_parity[key] = edge_parity.get(key, 0) ^ 1
+    for m in range(m0 - w, m0 + w + 1):
+        flips = set()
+        iv = column_interval(spec.a, spec.b, spec.c, spec.d, alpha, beta, m)
+        if iv is not None:
+            lo, hi = iv
+            if lo is None or hi is None or lo <= hi:
+                if lo is not None and n0 - w <= lo <= n0 + w:
+                    flips.add(lo)
+                if hi is not None and n0 - w <= hi + 1 <= n0 + w:
+                    flips.add(hi + 1)
+        path_edges = {
+            k for (col, k), parity in edge_parity.items()
+            if col == m and parity and n0 - w <= k <= n0 + w
+        }
+        if flips != path_edges:
+            return False
+    return True
+
+
+def outcome(check, spec, window):
+    try:
+        return check(spec, window)
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
 class TestHobbyProperty:
+    SPEC = AngleSpec(2, 1, -3, 1, (F(1, 10), F(7, 10) + F(1, 1000)))
+
     def test_example(self):
-        spec = AngleSpec(2, 1, -3, 1, (F(1, 10), F(7, 10) + F(1, 1000)))
-        assert hobby_region_check(spec, 6)
+        assert hobby_region_check(self.SPEC, 6)
+
+    def patch_first_window_edge(self, monkeypatch, detour):
+        """Insert `detour(x1, x2, y)` into the first horizontal path edge
+        (x1, y) -> (x2, y) inside the window of SPEC at 6."""
+        real = verify.digitize_angle_path
+
+        def patched(spec, extent):
+            path = real(spec, extent)
+            for i, ((x1, y1), (x2, y2)) in enumerate(zip(path, path[1:])):
+                if y1 == y2 and abs(min(x1, x2)) <= 6 and abs(y1) <= 5:
+                    return path[: i + 1] + detour(x1, x2, y1) + path[i + 1 :]
+            raise AssertionError("no horizontal path edge inside the window")
+
+        monkeypatch.setattr("pixelwedge.verify.digitize_angle_path", patched)
+
+    def test_edge_moved_one_row_fails(self, monkeypatch):
+        self.patch_first_window_edge(monkeypatch, lambda x1, x2, y: [(x1, y + 1), (x2, y + 1)])
+        assert hobby_region_check(self.SPEC, 6) is False
+
+    def test_dropped_edge_fails(self, monkeypatch):
+        # the detour vertex leaves a vertical and a diagonal step, no horizontal edge
+        self.patch_first_window_edge(monkeypatch, lambda x1, x2, y: [(x1, y + 1)])
+        assert hobby_region_check(self.SPEC, 6) is False
+
+    def test_matches_column_interval_check(self):
+        rng = random.Random(7070)
+        pairs = coprime_pairs(4)
+        results = set()
+        for window in range(1, 10):
+            done = 0
+            while done < 40:
+                a, b = rng.choice(pairs)
+                c, d = rng.choice(pairs)
+                if a * d - b * c == 0:
+                    continue
+                # small denominators put pixel centres on corners and boundary lines
+                den = rng.choice((2, 10, 1000))
+                nudge = rng.choice((0, F(1, 2017)))
+                corner = (F(rng.randint(-3 * den, 3 * den), den) + nudge,
+                          F(rng.randint(-3 * den, 3 * den), den))
+                spec = AngleSpec(a, b, c, d, corner)
+                got = outcome(hobby_region_check, spec, window)
+                assert got == outcome(interval_hobby_check, spec, window), (spec, window)
+                results.add(got if got is True else got[0])
+                done += 1
+        assert results == {True, PixelCenterHit}
 
     def test_corner_at_pixel_center(self):
         with pytest.raises(PixelCenterHit):
