@@ -7,7 +7,6 @@ error (parallel slopes, pixel-center hits, ...), 2 usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -17,7 +16,7 @@ from .digitize import AngleSpec, Slopes, digitize_angle_path
 from .errors import DomainError, UnsupportedFormat
 from .exact import format_rational, parse_rational
 from .partition import partition_unit_square
-from .render import RenderOptions, render_partition, render_pixelset
+from .render import RenderOptions, json_line, render_partition, render_pixelset
 from .shapes import class_index, enumerate_shapes, region_params, shape_of_spec
 from .verify import sample_class_frequencies, theorem_sweep
 
@@ -130,7 +129,7 @@ def _merge_flag_values(argv: list[str]) -> list[str]:
 def _run(args) -> bytes:
     if args.command == "digitize":
         path = digitize_angle_path(_spec(args), args.window)
-        return (json.dumps([list(v) for v in path]) + "\n").encode()
+        return json_line(path)
 
     if args.command == "classify":
         spec = _spec(args)
@@ -148,15 +147,13 @@ def _run(args) -> bytes:
                 "index": j,
                 "classes": d,
             }
-            return (json.dumps(payload, sort_keys=True) + "\n").encode()
+            return json_line(payload)
         return f"class {j} of {d}\n".encode()
 
     if args.command == "enumerate":
         shapes = enumerate_shapes(_slopes(args), args.window)
         if args.format == "json":
-            return (
-                json.dumps([s.to_json_dict() for s in shapes], sort_keys=True) + "\n"
-            ).encode()
+            return json_line([s.to_json_dict() for s in shapes])
         blocks = []
         for s in shapes:
             art = render_pixelset(s.bitmap, RenderOptions(format="ascii")).decode()
@@ -170,13 +167,13 @@ def _run(args) -> bytes:
     if args.command == "verify":
         hist = sample_class_frequencies(_slopes(args), args.samples, args.seed)
         if args.format == "json":
-            return (json.dumps(hist.to_json_dict(), sort_keys=True) + "\n").encode()
+            return json_line(hist.to_json_dict())
         return (hist.table() + "\n").encode()
 
     if args.command == "sweep":
         report = theorem_sweep(args.max_shapes)
         if args.format == "json":
-            return (json.dumps(report.to_json_dict(), sort_keys=True) + "\n").encode()
+            return json_line(report.to_json_dict())
         return (report.table() + "\n").encode()
 
     if args.command == "render":

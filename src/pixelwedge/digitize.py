@@ -199,15 +199,12 @@ def window_columns(
     return cols
 
 
-def region_pixels(
-    spec: AngleSpec, window: int, anchor: PixelIndex | None = None
-) -> set[PixelIndex]:
-    """All member pixels in the (2*window+1)^2 box centred on `anchor`
-    (default: the pixel containing the corner)."""
+def region_pixels(spec: AngleSpec, window: int) -> set[PixelIndex]:
+    """All member pixels in the (2*window+1)^2 box centred on the pixel
+    containing the corner."""
     if window < 1:
         raise ValueError("window must be >= 1")
-    if anchor is None:
-        anchor = (math.floor(spec.corner[0]), math.floor(spec.corner[1]))
+    anchor = (math.floor(spec.corner[0]), math.floor(spec.corner[1]))
     cols = window_columns(spec.a, spec.b, spec.c, spec.d, *corner_ceilings(spec), anchor, window)
     return {(m, n) for m, lo, hi in cols for n in range(lo, hi + 1)}
 

@@ -12,7 +12,6 @@ from fractions import Fraction
 from .errors import EmptySet, UnsupportedFormat
 from .exact import format_rational
 from .partition import Parallelogram, cell_fragments, polygon_area
-from .shapes import canonicalize
 
 FORMATS = ("ascii", "pbm", "svg", "json")
 
@@ -37,61 +36,53 @@ class RenderOptions:
             raise UnsupportedFormat(f"unknown format {self.format!r}")
 
 
-def _ascii(ps, glyphs: str) -> str:
-    if not ps:
-        return ""
-    on, off = glyphs[0], glyphs[1]
-    min_m = min(m for m, _ in ps)
-    max_m = max(m for m, _ in ps)
-    min_n = min(n for _, n in ps)
-    max_n = max(n for _, n in ps)
-    rows = []
-    for n in range(max_n, min_n - 1, -1):
-        rows.append("".join(on if (m, n) in ps else off for m in range(min_m, max_m + 1)))
-    return "\n".join(rows) + "\n"
+def json_line(obj) -> bytes:
+    """The one JSON encoding of every answer: sorted keys, one line."""
+    return (json.dumps(obj, sort_keys=True) + "\n").encode()
 
 
-def _pbm(ps) -> str:
-    ps = canonicalize(ps)
-    width = max(m for m, _ in ps) + 1
-    height = max(n for _, n in ps) + 1
-    rows = [f"P1\n{width} {height}"]
-    for n in range(height - 1, -1, -1):
-        rows.append(" ".join("1" if (m, n) in ps else "0" for m in range(width)))
-    return "\n".join(rows) + "\n"
-
-
-def _svg_pixelset(ps, scale: int) -> str:
-    ps = canonicalize(ps)
-    width = (max(m for m, _ in ps) + 1) * scale
-    height = (max(n for _, n in ps) + 1) * scale
-    parts = [
+def _svg(width: int, height: int, body: list[str]) -> bytes:
+    return "\n".join([
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
-    ]
-    for m, n in sorted(ps):
-        x = m * scale
-        y = height - (n + 1) * scale
-        parts.append(f'<rect x="{x}" y="{y}" width="{scale}" height="{scale}" fill="black"/>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        *body,
+        "</svg>\n",
+    ]).encode()
+
+
+def _raster(ps, on, off) -> list[list]:
+    """Rows of a nonempty pixel set's bounding box, top-down, holding `on`
+    at member pixels and `off` elsewhere."""
+    ms = [m for m, _ in ps]
+    ns = [n for _, n in ps]
+    cols = range(min(ms), max(ms) + 1)
+    return [[on if (m, n) in ps else off for m in cols] for n in range(max(ns), min(ns) - 1, -1)]
 
 
 def render_pixelset(ps, opts: RenderOptions) -> bytes:
     """Encode a pixel set; pbm/svg require a nonempty set."""
     ps = frozenset(ps)
-    if opts.format == "ascii":
-        return _ascii(ps, opts.glyphs).encode()
     if opts.format == "json":
-        return (json.dumps({"pixels": sorted(ps)}, sort_keys=True) + "\n").encode()
+        return json_line({"pixels": sorted(ps)})
     if not ps:
+        if opts.format == "ascii":
+            return b""
         raise EmptySet(f"cannot render an empty set as {opts.format}")
+    if opts.format == "ascii":
+        return "".join("".join(row) + "\n" for row in _raster(ps, *opts.glyphs[:2])).encode()
     if opts.format == "pbm":
-        return _pbm(ps).encode()
-    if opts.format == "svg":
-        return _svg_pixelset(ps, opts.scale).encode()
-    raise UnsupportedFormat(opts.format)
+        rows = _raster(ps, "1", "0")
+        body = "".join(" ".join(row) + "\n" for row in rows)
+        return f"P1\n{len(rows[0])} {len(rows)}\n{body}".encode()
+    # svg: one rect per pixel in sorted (m, n) order, i.e. by column, bottom-up
+    rows, s = _raster(ps, True, False), opts.scale
+    return _svg(len(rows[0]) * s, len(rows) * s, [
+        f'<rect x="{i * s}" y="{j * s}" width="{s}" height="{s}" fill="black"/>'
+        for i, col in enumerate(zip(*rows))
+        for j in range(len(rows) - 1, -1, -1)
+        if col[j]
+    ])
 
 
 def parse_pbm(data: bytes) -> frozenset:
@@ -121,20 +112,14 @@ def _fmt(v: Fraction, scale: int) -> str:
     return f"{float(v * scale):.4f}".rstrip("0").rstrip(".")
 
 
-def _svg_partition(cells: list[Parallelogram], scale: int) -> str:
-    s = scale
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{s}" height="{s}" '
-        f'viewBox="0 0 {s} {s}">',
-        f'<rect width="{s}" height="{s}" fill="white"/>',
-    ]
-    labels = []
+def _svg_partition(cells: list[Parallelogram], s: int) -> bytes:
+    body, labels = [], []
     for cell in cells:
         color = _PALETTE[cell.index % len(_PALETTE)]
         best = None
         for frag in cell_fragments(cell):
             pts = " ".join(f"{_fmt(x, s)},{_fmt(1 - y, s)}" for x, y in frag)
-            parts.append(
+            body.append(
                 f'<polygon points="{pts}" fill="{color}" stroke="black" stroke-width="0.5"/>'
             )
             area = polygon_area(frag)
@@ -148,16 +133,13 @@ def _svg_partition(cells: list[Parallelogram], scale: int) -> str:
                 f'<text x="{_fmt(cx, s)}" y="{_fmt(1 - cy, s)}" font-size="{s // 20}" '
                 f'text-anchor="middle" dominant-baseline="middle">{cell.index}</text>'
             )
-    parts.extend(labels)
-    parts.append(f'<rect width="{s}" height="{s}" fill="none" stroke="black"/>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _svg(s, s, [*body, *labels, f'<rect width="{s}" height="{s}" fill="none" stroke="black"/>'])
 
 
 def render_partition(cells: list[Parallelogram], opts: RenderOptions) -> bytes:
     """SVG diagram or exact-JSON dump of the unit-square partition."""
     if opts.format == "svg":
-        return _svg_partition(cells, max(opts.scale, 64)).encode()
+        return _svg_partition(cells, max(opts.scale, 64))
     if opts.format == "json":
         payload = {
             "cells": [
@@ -168,5 +150,5 @@ def render_partition(cells: list[Parallelogram], opts: RenderOptions) -> bytes:
                 for cell in cells
             ]
         }
-        return (json.dumps(payload, sort_keys=True) + "\n").encode()
+        return json_line(payload)
     raise UnsupportedFormat(f"partitions render as svg or json, not {opts.format!r}")

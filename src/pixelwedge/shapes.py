@@ -175,6 +175,8 @@ def shape_of_spec(spec: AngleSpec, window: int | None = None) -> ShapeClass:
     """Canonical windowed bitmap of one concrete digitized angle."""
     slopes = spec.slopes
     w = default_window(slopes) if window is None else window
+    if w < 1:
+        raise ValueError("window must be >= 1")
     alpha, beta = corner_ceilings(spec)
     sig, corner = class_fingerprint(slopes, alpha, beta, w)
     bitmap = _bitmaps([sig])[0] if sig else frozenset()

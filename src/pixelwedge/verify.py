@@ -283,6 +283,8 @@ def hobby_region_check(spec: AngleSpec, window: int) -> bool:
     membership flips; that is the boundary form of "a pixel belongs to the
     digitized region iff its center lies in the undigitized region".
     """
+    if window < 1:
+        raise ValueError("window must be >= 1")
     if is_pixel_center(spec.corner):
         raise PixelCenterHit("corner is a pixel center")
     alpha, beta = angle_thresholds(spec)

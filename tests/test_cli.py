@@ -194,3 +194,98 @@ def test_digitize_window_defaults_to_eight():
     r = run(*argv)
     assert r.returncode == 0
     assert r.stdout == run(*argv, "--window", "8").stdout != run(*argv, "--window", "3").stdout
+
+
+# sha256 of stdout for every CLI encoder of a picture or an answer, recorded
+# before the renderers were folded into one raster and one JSON encoder.
+PIN_PAIRS = (("2/1", "-3/1"), ("3/-1", "-1/2"), ("1/2", "3/1"))  # the last has det < 0
+
+
+def _pinned_argvs():
+    for s1, s2 in PIN_PAIRS:
+        spec = ("--slope1", s1, "--slope2", s2)
+        corner = ("--corner", "0.1,0.71")
+        for fmt in ("ascii", "json"):
+            yield ("enumerate", *spec, "--format", fmt)
+            yield ("enumerate", *spec, "--format", fmt, "--window", "2")
+        for fmt in ("ascii", "pbm", "svg", "json"):
+            yield ("render", *spec, *corner, "--format", fmt)
+        yield ("classify", *spec, *corner, "--format", "json")
+        yield ("digitize", *spec, *corner)
+
+
+STDOUT_SHA256 = {
+    "enumerate --slope1 2/1 --slope2 -3/1 --format ascii":
+        "f5a22c881a4e640db6ca138060151551a86ba80e9e7b51f8b6a861a43d6b8f0a",
+    "enumerate --slope1 2/1 --slope2 -3/1 --format ascii --window 2":
+        "57f32227a9d1745d93bbf0ebf73be8f3fcce573fb1033d827edead18cf9feb09",
+    "enumerate --slope1 2/1 --slope2 -3/1 --format json":
+        "0b83e742274a9f2d8ce51c71333a3937c3af20b9655fef5114b1699f0b133d0d",
+    "enumerate --slope1 2/1 --slope2 -3/1 --format json --window 2":
+        "50d4692534bcaf027588977f9b8faa122ac5171cb2c4b31146cdbbccb42c77e1",
+    "render --slope1 2/1 --slope2 -3/1 --corner 0.1,0.71 --format ascii":
+        "fc6db95f767a48c0f1a3f89161367ca358e7cd67a35ce0427eeaf8b9979eb262",
+    "render --slope1 2/1 --slope2 -3/1 --corner 0.1,0.71 --format pbm":
+        "f7446a300c25d17247b40e8a6acc76049423bf198fd497f803fc1fea1bf86996",
+    "render --slope1 2/1 --slope2 -3/1 --corner 0.1,0.71 --format svg":
+        "01040646dca701f6ef4a9e4d8286d9696b0f41285978b8b2a748083dd8c28f6d",
+    "render --slope1 2/1 --slope2 -3/1 --corner 0.1,0.71 --format json":
+        "8f9e1ec9889d98221b0ac6fcd01ffd3f699660e020d0a9d9a3222c86d1dea6b9",
+    "classify --slope1 2/1 --slope2 -3/1 --corner 0.1,0.71 --format json":
+        "1a23ae058ec6b8e7b0c658bad1acad2fcf6df692d08f28db1dbccffbeefdf50f",
+    "digitize --slope1 2/1 --slope2 -3/1 --corner 0.1,0.71":
+        "af064c737afa8e26dea2377b94ced21117cdf8c29fa694e1dbb233889e910bb3",
+    "enumerate --slope1 3/-1 --slope2 -1/2 --format ascii":
+        "b3ed24254f664f6fe54417c64ec93473fb5f13b5b1bfec0db1d65b8cecbd8864",
+    "enumerate --slope1 3/-1 --slope2 -1/2 --format ascii --window 2":
+        "4819190cb469e98693dd6cd70f636a1aa1aa0879548a221e3a7cb9614f448b7a",
+    "enumerate --slope1 3/-1 --slope2 -1/2 --format json":
+        "eb7fe503ded1899fd2e7e44d21e9401fe6eb4c9242edcb1e849b46476277819a",
+    "enumerate --slope1 3/-1 --slope2 -1/2 --format json --window 2":
+        "7e8a338e02922b3f9094ea3c4010d358c4bbd4993ce815d68e0a0dd3f413c629",
+    "render --slope1 3/-1 --slope2 -1/2 --corner 0.1,0.71 --format ascii":
+        "606d0c94c818cbcf754009b0ea1a71ef659b55ee65e022d51fb3ccd92d7640e1",
+    "render --slope1 3/-1 --slope2 -1/2 --corner 0.1,0.71 --format pbm":
+        "9d6fae019b548cb043fce7c3675e91e2a954929c0a1406f837baa42600132b94",
+    "render --slope1 3/-1 --slope2 -1/2 --corner 0.1,0.71 --format svg":
+        "e5e75f7fc19e2e50cfb7d9a120bff5452222e8e7e2bb9847620895c333b07680",
+    "render --slope1 3/-1 --slope2 -1/2 --corner 0.1,0.71 --format json":
+        "015255f54bf2e272032e4c45e4adf5e6375142267fa9f17af42d5d4407f64aa1",
+    "classify --slope1 3/-1 --slope2 -1/2 --corner 0.1,0.71 --format json":
+        "3862618733ee531b69de7f4baaee010ef4530a392ac47b0203bcddb183b158ea",
+    "digitize --slope1 3/-1 --slope2 -1/2 --corner 0.1,0.71":
+        "bff5175de1d291ef701e5898970c71a9d9a6b607b68077b952ea2411177dbf7f",
+    "enumerate --slope1 1/2 --slope2 3/1 --format ascii":
+        "17c2028c1361ade988bcfcb54d1c9192df9a94dac28ee2fc73209341431cc818",
+    "enumerate --slope1 1/2 --slope2 3/1 --format ascii --window 2":
+        "8f4638e1e66c7bb427aa848072c3ff89786db1bc3eb9e1a2a0f4cd7545733849",
+    "enumerate --slope1 1/2 --slope2 3/1 --format json":
+        "07b4ba9a0928c72e013045dd720068cfb83df94258d87b7a10b78f3fae287231",
+    "enumerate --slope1 1/2 --slope2 3/1 --format json --window 2":
+        "1f91fa5c6efba6d4964eca15e57498b573405979ac578942ecab81de2dd9ea98",
+    "render --slope1 1/2 --slope2 3/1 --corner 0.1,0.71 --format ascii":
+        "1071f9674b61ff849a65df6acdcdda3a82676adb7d2cfec87c4862770b2fd74c",
+    "render --slope1 1/2 --slope2 3/1 --corner 0.1,0.71 --format pbm":
+        "4f9bd5f5c0d6a6db1842ecccdf34dab298cbf2f1970a710fc2a7a7901ff49ebb",
+    "render --slope1 1/2 --slope2 3/1 --corner 0.1,0.71 --format svg":
+        "3323043e4a918eef078f06050afeb2caa7cc24d525981ad3c1dabace285dc1b2",
+    "render --slope1 1/2 --slope2 3/1 --corner 0.1,0.71 --format json":
+        "89de93d78b971bc6805435aa51f72d951def00124223b8ae11fb6edfff70b32e",
+    "classify --slope1 1/2 --slope2 3/1 --corner 0.1,0.71 --format json":
+        "00ec66f5829426dec4a6c24f18b8f6b762b5165d1f85e7fe670e976b88fb4757",
+    "digitize --slope1 1/2 --slope2 3/1 --corner 0.1,0.71":
+        "8811bb2f631e8b0c2817142ae8a68c351cc6680b6c3428c2a1a354b6c92321cf",
+}
+
+
+def test_encoder_stdout_bytes_are_pinned(capsysbinary):
+    import hashlib
+
+    from pixelwedge.cli import main
+
+    argvs = list(_pinned_argvs())
+    assert len(argvs) == len(STDOUT_SHA256) == 30
+    for argv in argvs:
+        assert main(list(argv)) == 0, argv
+        out = capsysbinary.readouterr().out
+        assert hashlib.sha256(out).hexdigest() == STDOUT_SHA256[" ".join(argv)], argv

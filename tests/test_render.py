@@ -1,3 +1,7 @@
+import hashlib
+import random
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -113,3 +117,43 @@ def test_options_validate():
         RenderOptions(scale=0)
     with pytest.raises(ValueError):
         RenderOptions(glyphs="#")
+
+
+@given(pixelsets)
+def test_ascii_rows_are_the_pbm_body(ps):
+    rows = render_pixelset(ps, RenderOptions(format="ascii")).decode().splitlines()
+    pbm = render_pixelset(ps, RenderOptions(format="pbm")).decode().splitlines()
+    assert pbm[:2] == ["P1", f"{len(rows[0])} {len(rows)}"]
+    assert pbm[2:] == [" ".join({"#": "1", ".": "0"}[ch] for ch in row) for row in rows]
+
+
+@given(pixelsets, st.integers(1, 5))
+def test_svg_black_rects_are_the_canonical_set(ps, scale):
+    svg = render_pixelset(ps, RenderOptions(format="svg", scale=scale)).decode()
+    height = int(re.search(r'height="(\d+)"', svg).group(1)) // scale
+    rects = re.findall(r'<rect x="(\d+)" y="(\d+)" [^>]*fill="black"', svg)
+    cells = {(int(x) // scale, height - 1 - int(y) // scale) for x, y in rects}
+    assert len(rects) == len(cells)
+    assert cells == canonicalize(ps)
+
+
+# sha256 of render_pixelset over a seeded corpus, recorded before the ascii,
+# pbm and svg encoders were folded into one raster.
+RENDER_CORPUS_SHA256 = "647e6c9163408c5609ce98e6ba0904f31e1d966d09353bd1b2a73cce1d9f9902"
+
+
+def test_render_pixelset_bytes_are_pinned():
+    rng = random.Random(20240607)
+    sets = [frozenset()]
+    for _ in range(400):
+        r = rng.randint(1, 10)
+        size = rng.randint(1, 40)
+        sets.append(frozenset((rng.randint(-r, r), rng.randint(-r, r)) for _ in range(size)))
+    variants = [RenderOptions(format=fmt) for fmt in ("ascii", "pbm", "svg", "json")]
+    variants += [RenderOptions(format="svg", scale=3), RenderOptions(format="ascii", glyphs="@ ")]
+    digest = hashlib.sha256()
+    for ps in sets:
+        for opts in variants:
+            if ps or opts.format in ("ascii", "json"):
+                digest.update(render_pixelset(ps, opts) + b"\0")
+    assert digest.hexdigest() == RENDER_CORPUS_SHA256

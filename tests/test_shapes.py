@@ -23,9 +23,9 @@ from pixelwedge import (
     shape_of_spec,
     shift_params,
 )
-from pixelwedge.digitize import angle_thresholds, corner_ceilings
+from pixelwedge.digitize import angle_thresholds, corner_ceilings, region_pixels
 from pixelwedge.shapes import class_fingerprint
-from pixelwedge.verify import coprime_pairs
+from pixelwedge.verify import coprime_pairs, hobby_region_check
 
 from conftest import coprime_pair, corner_st, slopes_st
 
@@ -272,6 +272,18 @@ class TestEnumerate:
         shapes = enumerate_shapes(P_SLOPES, 1)
         assert shapes[0].window > 1
         assert len({s.bitmap for s in shapes}) == 5
+
+    def test_every_window_below_one_is_refused(self):
+        spec = spec_p(F(1, 10), F(71, 100))
+        for window in (0, -1, -3):
+            for call in (
+                lambda: region_pixels(spec, window),
+                lambda: enumerate_shapes(P_SLOPES, window),
+                lambda: shape_of_spec(spec, window),
+                lambda: hobby_region_check(spec, window),
+            ):
+                with pytest.raises(ValueError, match="window must be >= 1"):
+                    call()
 
     def test_shapes_are_nonempty_and_canonical(self):
         for s in enumerate_shapes(Q_SLOPES):
