@@ -18,9 +18,11 @@ from .exact import format_rational, parse_rational
 from .partition import partition_unit_square
 from .render import RenderOptions, json_line, render_partition, render_pixelset
 from .shapes import class_index, enumerate_shapes, region_params, shape_of_spec
-from .verify import sample_class_frequencies, theorem_sweep
+from .verify import sample_class_frequencies, sweep_pair_estimate, theorem_sweep
 
 _VALUE_FLAGS = ("--slope1", "--slope2", "--corner")
+# `sweep N` scans ~N**4 slope pairs; this admits N <= 19 (921600 pairs, ~20 s on 2 CPUs)
+SWEEP_PAIR_LIMIT = 1_000_000
 
 
 def parse_slope_pair(text: str) -> tuple[int, int]:
@@ -171,6 +173,13 @@ def _run(args) -> bytes:
         return (hist.table() + "\n").encode()
 
     if args.command == "sweep":
+        # past 10**6 the count (monotone in N) stops at 10**6 and is a lower bound
+        pairs = sweep_pair_estimate(min(args.max_shapes, 10**6))
+        if pairs > SWEEP_PAIR_LIMIT:
+            raise DomainError(
+                f"sweep {args.max_shapes} would scan at least {pairs} slope pairs, "
+                f"over the limit of {SWEEP_PAIR_LIMIT}"
+            )
         report = theorem_sweep(args.max_shapes)
         if args.format == "json":
             return json_line(report.to_json_dict())

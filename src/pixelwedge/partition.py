@@ -65,26 +65,32 @@ class Parallelogram:
         }
 
 
-def partition_unit_square(slopes: Slopes) -> list[Parallelogram]:
-    """The D cells, indexed so that corners inside cell j produce class j.
+def cell_bases(slopes: Slopes):
+    """(j, x, y) for each cell j in index order: its base is (x, y) / (2D),
+    0 <= x, y < 2D. Corners inside cell j produce class j.
 
     Cell j is the preimage of the unit parameter square whose interior has
-    integerised thresholds (0, j); its base, the boundary-line crossing at
-    that square's corner plus (1/2, 1/2), is reduced mod 1 over 2D.
+    integerised thresholds (0, j); its base is the boundary-line crossing at
+    that square's corner plus (1/2, 1/2), reduced mod 1.
     """
     a, b, c, d = slopes.as_tuple()
     det = slopes.det
     D = slopes.count
-    e1: Vec = (Fraction(b, D), Fraction(a, D))
-    e2: Vec = (Fraction(-d, D), Fraction(-c, D))
     sign = 1 if det > 0 else -1
-    cells = []
     for j in range(D):
         alpha, beta = (0, j) if det > 0 else (-1, j - 1)
         x = sign * (2 * (d * alpha - b * beta) + det) % (2 * D)
         y = sign * (2 * (c * alpha - a * beta) + det) % (2 * D)
-        cells.append(Parallelogram(j, (Fraction(x, 2 * D), Fraction(y, 2 * D)), e1, e2))
-    return cells
+        yield j, x, y
+
+
+def partition_unit_square(slopes: Slopes) -> list[Parallelogram]:
+    """The D cells at `cell_bases`, with edges (b, a)/D and (-d, -c)/D."""
+    D = slopes.count
+    e1: Vec = (Fraction(slopes.b, D), Fraction(slopes.a, D))
+    e2: Vec = (Fraction(-slopes.d, D), Fraction(-slopes.c, D))
+    bases = cell_bases(slopes)
+    return [Parallelogram(j, (Fraction(x, 2 * D), Fraction(y, 2 * D)), e1, e2) for j, x, y in bases]
 
 
 # --- clipping to the unit square -----------------------------------------------

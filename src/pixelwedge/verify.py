@@ -28,7 +28,7 @@ from .digitize import (
     window_columns,
 )
 from .errors import PixelCenterHit, WindowTooSmall
-from .partition import partition_unit_square
+from .partition import cell_bases, partition_unit_square
 from .shapes import class_of_params, class_signatures
 
 
@@ -239,22 +239,14 @@ def exact_class_areas(slopes: Slopes) -> list[Fraction]:
 
 def cells_match_classes(slopes: Slopes) -> bool:
     """Whether the centre base + (e1 + e2)/2 of every partition cell j is a
-    corner of class j by the closed-form class formula.
-
-    Integer arithmetic over the common denominator 2D: a cell's base is a
-    multiple of 1/(2D) and its edges multiples of 1/D, or the check fails.
-    """
-    D = slopes.count
-    for cell in partition_unit_square(slopes):
-        nums = [divmod(r.numerator * 2 * D, r.denominator) for r in cell.base]
-        nums += [divmod(r.numerator * D, r.denominator) for r in cell.edge1 + cell.edge2]
-        if any(rem for _, rem in nums):
-            return False
-        bx, by, ux, uy, vx, vy = (n for n, _ in nums)
-        ceilings = threshold_ceilings(slopes, bx + ux + vx, by + uy + vy, 2 * D)
-        if class_of_params(slopes, *ceilings) != cell.index:
-            return False
-    return True
+    corner of class j by the closed-form class formula; over 2D the centre of
+    the cell based at (x, y) / (2D) is the integer pair (x + b - d, y + a - c)."""
+    a, b, c, d = slopes.as_tuple()
+    q = 2 * slopes.count
+    return all(
+        class_of_params(slopes, *threshold_ceilings(slopes, x + b - d, y + a - c, q)) == j
+        for j, x, y in cell_bases(slopes)
+    )
 
 
 # --- the center-membership property ---------------------------------------------
@@ -331,12 +323,32 @@ def coprime_pairs(bound: int) -> list[tuple[int, int]]:
     ]
 
 
+def sweep_pair_estimate(bound: int) -> int:
+    """len(coprime_pairs(bound)) ** 2 for bound >= 1, the slope pairs a sweep
+    scans, in O(bound**0.75) steps: four quadrants plus (0, +-1) and (+-1, 0)."""
+    memo: dict[int, int] = {}
+
+    def quadrant(n: int) -> int:
+        """#{1 <= p, q <= n : gcd(p, q) = 1}: the n*n pairs less, for each
+        g >= 2, the quadrant(n // g) pairs with gcd g."""
+        if n not in memo:
+            total, g = n * n, 2
+            while g <= n:
+                last = n // (n // g)  # every g in [g, last] has the same n // g
+                total -= (last - g + 1) * quadrant(n // g)
+                g = last + 1
+            memo[n] = total
+        return memo[n]
+
+    return (4 * quadrant(bound) + 4) ** 2
+
+
 @dataclass(frozen=True)
 class SweepEntry:
     slopes: tuple[int, int, int, int]
     expected: int
     classes: int
-    window: int
+    window: int  # the sweep's own separating window, not enumerate_shapes'
     areas_ok: bool  # cells_match_classes: each partition cell holds its own class
     error: str | None = None
 
@@ -399,11 +411,15 @@ def theorem_sweep(max_shapes: int, max_entry: int | None = None) -> SweepReport:
     of its own class, over every coprime slope pair with entries bounded by
     max_entry and 1 <= D <= max_shapes.
 
-    Classes are counted by their distinct fingerprints, which are one-to-one
-    with their bitmaps, so no bitmap is built.
+    Classes are counted by their distinct fingerprints, so no bitmap is
+    built. The window starts at max(|a|, |b|, |c|, |d|) and doubles until the
+    D fingerprints differ; each clips the region around an anchor that moves
+    with it, so distinct fingerprints prove distinct classes at any window.
     """
     if max_shapes < 1:
         raise ValueError("max_shapes must be >= 1")
+    if max_entry is not None and max_entry < 1:
+        raise ValueError("max_entry must be >= 1")
     bound = max_shapes if max_entry is None else max_entry
     report = SweepReport(max_shapes, bound)
     pairs = coprime_pairs(bound)
@@ -415,7 +431,7 @@ def theorem_sweep(max_shapes: int, max_entry: int | None = None) -> SweepReport:
             slopes = Slopes(a, b, c, d)
             expected = slopes.count
             try:
-                window, sigs = class_signatures(slopes)
+                window, sigs = class_signatures(slopes, max(map(abs, slopes.as_tuple())))
                 report.entries.append(
                     SweepEntry(
                         slopes.as_tuple(), expected, len({sig for sig, _ in sigs}),

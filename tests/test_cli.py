@@ -77,6 +77,20 @@ def test_sweep_default_and_json():
     assert json.loads(r.stdout)["pass"] is True
 
 
+def test_sweep_over_the_pair_limit_is_refused_at_once():
+    from pixelwedge.cli import SWEEP_PAIR_LIMIT
+    from pixelwedge.verify import sweep_pair_estimate
+
+    assert sweep_pair_estimate(19) <= SWEEP_PAIR_LIMIT < sweep_pair_estimate(20)
+    # raises TimeoutExpired, and kills the run, if it takes a second
+    r = subprocess.run(BASE + ["sweep", "400"], capture_output=True, timeout=1)
+    assert r.returncode == 1 and r.stdout == b""
+    assert b"151651051776" in r.stderr and str(SWEEP_PAIR_LIMIT).encode() in r.stderr
+    # a bound far past the cheap count is refused as fast
+    r = subprocess.run(BASE + ["sweep", "1" + "0" * 30], capture_output=True, timeout=1)
+    assert r.returncode == 1 and r.stdout == b""
+
+
 def test_partition_svg_and_out_file(tmp_path):
     out = tmp_path / "cells.svg"
     r = run("partition", "--slope1", "2/1", "--slope2", "-3/1", "--out", str(out))
@@ -278,6 +292,52 @@ STDOUT_SHA256 = {
 }
 
 
+# sha256 of `pixelwedge sweep N` stdout, recorded before the sweep took its
+# own separating window and read cell bases as integers.
+SWEEP_STDOUT_SHA256 = {
+    "sweep 1 --format ascii":
+        "bb5b821ee23707c1bbff4022e7ea3591418fcffbead8bf1ace43f78cce619b35",
+    "sweep 1 --format json":
+        "a58c5114bdaa7b28b3f68b42fab7440afaecf494e2a4ef630fc1cd4f65adb581",
+    "sweep 2 --format ascii":
+        "8886ad720d331e2786359225ed5d135c8c94f7b1f1dd61ab5d66d22217681b73",
+    "sweep 2 --format json":
+        "54f6bef57f7c201d6ca01a9796ee844bcf9a8d2e23eb75c42f9c535e9ff6a440",
+    "sweep 3 --format ascii":
+        "c5fd2cd3634f43bb83c5958559d5092cc4f1a46ea05200e9a6f83d16fae1797d",
+    "sweep 3 --format json":
+        "59b993993b52d770f94488072fae0c6d963f36cb80c74e4d5755d0212cdd2a36",
+    "sweep 4 --format ascii":
+        "dfabcbab534818131a73f2d94adb36ae8ac317e024f8098e39f58610d54c21fe",
+    "sweep 4 --format json":
+        "3c663b743e278390d51cca6ad39403f1450d9d9ee3a05f17a667171fbdf334f5",
+    "sweep 5 --format ascii":
+        "d4344a87fc905224023966b4a08816a94216016d34f3dfd1be82f7ef33d39668",
+    "sweep 5 --format json":
+        "0ba8c1cfb214cf9376e565d8cba08e7faf2f1dba787a41ffd4cfc428e6cee596",
+    "sweep 6 --format ascii":
+        "1eb303d78e80cf1e90f6792f68e289e21b769ea08ce3427630a786244f578117",
+    "sweep 6 --format json":
+        "ddddb9b91d93ef4dba61e6f74cdda2814de419927721b5585ed8fbda77aeecbb",
+    "sweep 7 --format ascii":
+        "97d08f40ba46a1f49f4f2840c0136b0434fd3c0b379c2167018076a65c54cbc0",
+    "sweep 7 --format json":
+        "2a9003611bc00f482f7ab35e7464feae2e33cd380bf60323779321b0abb75568",
+    "sweep 8 --format ascii":
+        "d66785a3054423b57b96cac5424a4b4127b7c9a499eb744abbeeebbaf30d3667",
+    "sweep 8 --format json":
+        "e3ae33db1a49cf222f161a03112a88dff75c0303027757ebddb22503f15efd0f",
+    "sweep 9 --format ascii":
+        "80f894397dfdbb24280d36d6fd8e28c1af4d223e7f6c2d47730b86e3eb244fd3",
+    "sweep 9 --format json":
+        "5116bc6021b5dde375eec6e11f05e824f4f1db3741d6e9ce31ebd3ff82ac8857",
+    "sweep 10 --format ascii":
+        "95a67b1db0bcffdaceeda6ee5619ab26de10c6179fa83c8f1a33d6223689a2a3",
+    "sweep 10 --format json":
+        "167f42dc25823a62f810bca208d7cb095d6fdc460a9c41cd2b54369ec369cd5f",
+}
+
+
 def test_encoder_stdout_bytes_are_pinned(capsysbinary):
     import hashlib
 
@@ -289,3 +349,17 @@ def test_encoder_stdout_bytes_are_pinned(capsysbinary):
         assert main(list(argv)) == 0, argv
         out = capsysbinary.readouterr().out
         assert hashlib.sha256(out).hexdigest() == STDOUT_SHA256[" ".join(argv)], argv
+
+
+def test_sweep_stdout_bytes_are_pinned(capsysbinary):
+    import hashlib
+
+    from pixelwedge.cli import main
+
+    assert len(SWEEP_STDOUT_SHA256) == 20
+    for n in range(1, 11):
+        for fmt in ("ascii", "json"):
+            argv = ("sweep", str(n), "--format", fmt)
+            assert main(list(argv)) == 0, argv
+            out = capsysbinary.readouterr().out
+            assert hashlib.sha256(out).hexdigest() == SWEEP_STDOUT_SHA256[" ".join(argv)], argv

@@ -15,7 +15,7 @@ from pixelwedge import (
     class_index,
     partition_unit_square,
 )
-from pixelwedge.partition import polygon_area
+from pixelwedge.partition import cell_bases, polygon_area
 from pixelwedge.verify import coprime_pairs
 
 from conftest import slopes_st
@@ -198,6 +198,21 @@ def _all_slopes(max_entry, max_d=None):
         for c, d in pairs
         if a * d - b * c and (max_d is None or abs(a * d - b * c) <= max_d)
     ]
+
+
+def test_partition_is_the_shared_integer_bases():
+    # every pair with entries <= 5: cell j is based at cell_bases' j-th
+    # (x, y) over 2D, inside [0, 1)^2, with edges (b, a)/D and (-d, -c)/D
+    for slopes in _all_slopes(5):
+        a, b, c, d = slopes.as_tuple()
+        D = slopes.count
+        bases = list(cell_bases(slopes))
+        assert [j for j, _, _ in bases] == list(range(D))
+        assert all(0 <= x < 2 * D and 0 <= y < 2 * D for _, x, y in bases)
+        e1, e2 = (F(b, D), F(a, D)), (F(-d, D), F(-c, D))
+        assert partition_unit_square(slopes) == [
+            Parallelogram(j, (F(x, 2 * D), F(y, 2 * D)), e1, e2) for j, x, y in bases
+        ]
 
 
 SWEEP_8 = _all_slopes(3, max_d=8)  # the D <= 8 sweep, entries <= 3

@@ -200,6 +200,28 @@ class TestEquivalent:
             )
             assert equivalent(p1, p2, s) == want
 
+    def test_against_brute_force_entries_to_twelve(self):
+        # a seeded sample of pairs with entries <= 12; half of the second
+        # threshold pairs are translates of the first, so both answers occur
+        rng = random.Random(64)
+        pairs = coprime_pairs(12)
+        answers = {True: 0, False: 0}
+        while answers[True] + answers[False] < 200:
+            (a, b), (c, d) = rng.choice(pairs), rng.choice(pairs)
+            if a * d == b * c:
+                continue
+            s = Slopes(a, b, c, d)
+            alpha, beta = rng.randint(-30, 30), rng.randint(-30, 30)
+            if rng.random() < 0.5:
+                alpha2, beta2 = shift_params(s, alpha, beta, rng.randint(-6, 6), rng.randint(-6, 6))
+            else:
+                alpha2, beta2 = rng.randint(-30, 30), rng.randint(-30, 30)
+            want = brute_equivalent(s, alpha - alpha2, beta - beta2)
+            got = equivalent(self.params(alpha, beta), self.params(alpha2, beta2), s)
+            assert got == want, (s, alpha, beta, alpha2, beta2)
+            answers[want] += 1
+        assert min(answers.values()) >= 50
+
     @given(slopes_st(), st.integers(-50, 50), st.integers(-50, 50),
            st.integers(-8, 8), st.integers(-8, 8))
     def test_soundness_under_translation(self, slopes, alpha, beta, k, l):

@@ -3,7 +3,6 @@ import math
 import random
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -16,14 +15,15 @@ from pixelwedge import (
     enumerate_shapes,
     exact_class_areas,
     hobby_region_check,
-    partition_unit_square,
     sample_class_frequencies,
     theorem_sweep,
 )
 from pixelwedge import verify
 from pixelwedge.digitize import angle_thresholds, digitize_angle_path, is_pixel_center
 from pixelwedge.exact import extended_gcd
-from pixelwedge.verify import chi2_q999, coprime_pairs
+from pixelwedge.partition import cell_bases
+from pixelwedge.shapes import canonicalize, class_signatures
+from pixelwedge.verify import chi2_q999, coprime_pairs, sweep_pair_estimate
 
 from oracles import column_interval
 
@@ -469,6 +469,16 @@ class TestSweep:
         with pytest.raises(ValueError):
             theorem_sweep(0)
 
+    @pytest.mark.parametrize("max_entry", [0, -2])
+    def test_rejects_max_entry_below_one(self, max_entry):
+        # a sweep over no pairs would report PASS having checked nothing
+        with pytest.raises(ValueError, match="max_entry must be >= 1"):
+            theorem_sweep(4, max_entry)
+
+    def test_pair_estimate_counts_coprime_pairs(self):
+        for bound in range(1, 41):
+            assert sweep_pair_estimate(bound) == len(coprime_pairs(bound)) ** 2, bound
+
     def test_json_and_table(self):
         report = theorem_sweep(2)
         d = report.to_json_dict()
@@ -477,30 +487,50 @@ class TestSweep:
 
     def test_rotated_cell_indices_fail(self, monkeypatch):
         def rotated(slopes):
-            cells = partition_unit_square(slopes)
-            return [replace(cell, index=(cell.index + 1) % len(cells)) for cell in cells]
+            return [((j + 1) % slopes.count, x, y) for j, x, y in cell_bases(slopes)]
 
-        monkeypatch.setattr("pixelwedge.verify.partition_unit_square", rotated)
+        monkeypatch.setattr("pixelwedge.verify.cell_bases", rotated)
         report = theorem_sweep(3)
         assert report.ok is False
         # rotating a single cell changes nothing; every D >= 2 entry fails
         assert {e.expected for e in report.failures} == {2, 3}
         assert all(e.areas_ok == (e.expected == 1) for e in report.entries)
 
-    def test_off_lattice_cell_fails(self, monkeypatch):
-        def shifted(slopes):
-            cells = partition_unit_square(slopes)
-            (x, y) = cells[0].base
-            return [replace(cells[0], base=(x + F(1, 7 * slopes.count), y))] + cells[1:]
-
-        monkeypatch.setattr("pixelwedge.verify.partition_unit_square", shifted)
-        assert theorem_sweep(2).ok is False
+    def test_cell_moved_by_an_edge_fails(self, monkeypatch):
+        # every pair of the D <= 6 sweep: moving one cell's base by e1 = (b, a)/D
+        # or e2 = (-d, -c)/D, mod 1, moves its centre into a neighbouring class;
+        # at D = 1 both edges are integer vectors and the move is no move
+        bases = []
+        monkeypatch.setattr("pixelwedge.verify.cell_bases", lambda slopes: bases)
+        for entry in theorem_sweep(6).entries:
+            slopes = Slopes(*entry.slopes)
+            a, b, c, d = entry.slopes
+            q = 2 * slopes.count
+            shared = list(cell_bases(slopes))
+            bases[:] = shared
+            assert verify.cells_match_classes(slopes), entry
+            for k, (j, x, y) in enumerate(shared):
+                for ex, ey in ((2 * b, 2 * a), (-2 * d, -2 * c)):
+                    bases[:] = shared
+                    bases[k] = (j, (x + ex) % q, (y + ey) % q)
+                    assert verify.cells_match_classes(slopes) == (slopes.count == 1), (entry, k, ex, ey)
 
     def test_class_count_matches_enumerated_bitmaps(self):
         for entry in theorem_sweep(8).entries:
-            shapes = enumerate_shapes(Slopes(*entry.slopes))
+            slopes = Slopes(*entry.slopes)
+            shapes = enumerate_shapes(slopes)
             assert entry.classes == len({s.bitmap for s in shapes}), entry
-            assert entry.window == shapes[0].window
+            w = entry.window
+            assert w <= shapes[0].window
+            # each sweep fingerprint is its class's enumerated bitmap clipped
+            # to the (2w+1)^2 box around the corner pixel, anchor included
+            _, sigs = class_signatures(slopes, w)
+            for shape, (sig, anchor) in zip(shapes, sigs, strict=True):
+                cm, cn = shape.corner_pixel
+                box = {(m, n) for m, n in shape.bitmap if abs(m - cm) <= w and abs(n - cn) <= w}
+                min_m, min_n = min(m for m, _ in box), min(n for _, n in box)
+                assert canonicalize(box) == {(m, n) for m, lo, hi in sig for n in range(lo, hi + 1)}, entry
+                assert anchor == (cm - min_m, cn - min_n), entry
 
 
 def test_two_class_pair_splits_evenly_at_a_million():
