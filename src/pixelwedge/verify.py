@@ -3,10 +3,13 @@
 Monte Carlo corners are exact dyadic rationals (64-bit numerator over 2^64),
 so classification never leaves integer arithmetic and results are bit-stable
 for a given seed regardless of worker count. Corners are classified a chunk
-at a time: one getrandbits call fills a chunk of draws, whose coordinates are
-spread into packed integer lanes so that a few big-integer operations give
-every draw's class parameters. The random stream, and so every count, is the
-same as drawing and classifying one corner at a time.
+at a time: one getrandbits call fills a chunk of draws, and a few
+big-integer operations over packed integer lanes give every draw's class
+parameters. Where a key fits one 64-bit word, the lanes are masked straight
+out of the draw integer; only keys over 64 bits need the coordinates spread
+through a byte buffer into wider lanes. Keys are counted as 64-bit words.
+The random stream, and so every count, is the same as drawing and
+classifying one corner at a time.
 """
 from __future__ import annotations
 
@@ -137,34 +140,42 @@ def _count_block(slopes_tuple, seed, block, take):
     call: px in bits 0-63 of a lane, py in bits 64-127, the same words as two
     getrandbits(64) calls. A pixel-centre draw is dropped, counted as
     resampled and replaced from the next chunk, as a per-sample redraw would.
-    The kept px and py are spread into lanes of `words` 64-bit words, so
-    that off + a*px - b*py stays in [0, (|a|+|b|+1) * 2^64) and never borrows
+    The arithmetic runs in lanes of `words` 64-bit words, so that
+    off + a*px - b*py stays in [0, (|a|+|b|+1) * 2^64) and never borrows
     across lanes: one shift then gives every lane's ceiling of
     (a*nx - b*ny) / 2^64, offset by (|a|+|b|) // 2, in its low ka bits, and
     the next lane's low word in its top 64. The key bits alpha | beta << ka
-    lie below that word, so only beta needs a mask. Each distinct key is
-    classified once by class_of_params.
+    lie below that word, so only beta needs a mask.
+
+    When a key fits one 64-bit word, a lane is one 128-bit draw: px and py
+    are masked straight out of the draw integer, and each lane's low word is
+    its key. Keys over 64 bits need wider lanes, into which px and py are
+    spread through a byte buffer. Keys are counted as 64-bit words (as tuples
+    of them when wider), and each distinct key is classified once by
+    class_of_params.
     """
     a, b, c, d = slopes_tuple
     slopes = Slopes(a, b, c, d)
     sa, sc = abs(a) + abs(b), abs(c) + abs(d)
     ka, kc = sa.bit_length(), sc.bit_length()  # bits of alpha and beta in a key
-    words = -(-(_Q_BITS + ka + kc) // 64)
+    key_words = -(-(ka + kc) // 64)
+    words = -(-(_Q_BITS + ka + kc) // 64)  # 2 exactly when key_words is 1
     lane = 8 * words
-    key_bytes = -(-(ka + kc) // 8)
     # lane value (sa // 2 + ceil(v / 2^64)) * 2^64 + r, 0 <= r < 2^64, for v = a*nx - b*ny
     off_a = (sa // 2 + 1) * _Q - 1 - (a - b) * _HALF_Q
     off_c = (sc // 2 + 1) * _Q - 1 - (c - d) * _HALF_Q
-    lanes = {}  # chunk size -> (offsets and beta mask repeated per lane)
-    buf = bytearray(lane * _CHUNK)
-    buf_view = memoryview(buf)
-    buf_words = buf_view.cast("Q")
+    lanes = {}  # chunk size -> (offsets, beta mask and low-word mask repeated per lane)
+    if key_words > 1:
+        buf = bytearray(lane * _CHUNK)
+        buf_view = memoryview(buf)
+        buf_words = buf_view.cast("Q")
     rng = random.Random(f"{seed}/{block}")
     keys = Counter()
     resampled = 0
     while take:
         t = min(_CHUNK, take)
-        raw = rng.getrandbits(128 * t).to_bytes(16 * t, "little")
+        draw = rng.getrandbits(128 * t)
+        raw = draw.to_bytes(16 * t, "little")
         at = raw.find(_CENTRE)
         if at >= 0:
             kept, start = [], 0
@@ -175,27 +186,32 @@ def _count_block(slopes_tuple, seed, block, take):
                 at = raw.find(_CENTRE, at + 1)
             kept.append(raw[start:])
             raw = b"".join(kept)
+            draw = int.from_bytes(raw, "little")
             resampled += t - len(raw) // 16
             t = len(raw) // 16
         take -= t
         if t not in lanes:
             ones = int.from_bytes((b"\1" + bytes(lane - 1)) * t, "little")
-            lanes[t] = (off_a * ones, off_c * ones, ((1 << kc) - 1) * ones)
-        lane_a, lane_c, mask_c = lanes[t]
-        raw_words = memoryview(raw).cast("Q")
+            lanes[t] = (off_a * ones, off_c * ones, ((1 << kc) - 1) * ones, (_Q - 1) * ones)
+        lane_a, lane_c, mask_c, low = lanes[t]
         n = t * lane
-        buf_words[: t * words : words] = raw_words[0::2]
-        px = int.from_bytes(buf_view[:n], "little")
-        buf_words[: t * words : words] = raw_words[1::2]
-        py = int.from_bytes(buf_view[:n], "little")
-        del raw_words, raw  # lowers the peak heap of the lane arithmetic below
+        if key_words == 1:
+            px, py = draw & low, draw >> _Q_BITS & low
+        else:
+            raw_words = memoryview(raw).cast("Q")
+            buf_words[: t * words : words] = raw_words[0::2]
+            px = int.from_bytes(buf_view[:n], "little")
+            buf_words[: t * words : words] = raw_words[1::2]
+            py = int.from_bytes(buf_view[:n], "little")
+            del raw_words
+        del draw, raw  # lowers the peak heap of the lane arithmetic below
         alphas = (lane_a + a * px - b * py) >> _Q_BITS
         betas = ((lane_c + c * px - d * py) >> _Q_BITS) & mask_c
-        packed = (alphas | betas << ka).to_bytes(n, "little")
-        keys.update(zip(*[packed[j::lane] for j in range(key_bytes)]))
+        packed = memoryview((alphas | betas << ka).to_bytes(n, "little")).cast("Q")
+        keys.update(packed[::words] if key_words == 1 else zip(*[packed[j::words] for j in range(key_words)]))
     counts = [0] * slopes.count
     for key, cnt in keys.items():
-        k = int.from_bytes(bytes(key), "little")
+        k = key if key_words == 1 else sum(w << 64 * j for j, w in enumerate(key))
         alpha, beta = (k & ((1 << ka) - 1)) - sa // 2, (k >> ka) - sc // 2
         counts[class_of_params(slopes, alpha, beta)] += cnt
     return counts, resampled

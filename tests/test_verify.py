@@ -170,6 +170,8 @@ WIDE_PAIRS = [
     (2**70 + 1, 2**70, 2**70 + 3, 2**70 + 2),  # D = 2
     (2**40 + 1, 2**40, 2**40 + 4, 2**40 + 3),  # D = 3: keys wider than 64 bits
     (2**70 + 1, 2**70, 2**70 + 4, 2**70 + 3),  # D = 3
+    (2**30 + 1, 2**30, 2**30 + 4, 2**30 + 3),  # D = 3: keys of 64 bits, two-word lanes
+    (2**30 + 1, 2**30, 2**31 + 5, 2**31 + 3),  # D = 3: keys of 65 bits, three-word lanes
 ]
 
 
@@ -233,7 +235,10 @@ class TestPixelCentreRedraw:
         assert stub.getrandbits(128 * 3) == ref.getrandbits(128 * 3)
         assert stub.getrandbits(40) == ref.getrandbits(40)
 
-    @pytest.mark.parametrize("pair", [(2, 1, -3, 1), (2**70 + 1, 2**70, 2**70 + 3, 2**70 + 2)])
+    @pytest.mark.parametrize(
+        "pair",
+        [(2, 1, -3, 1), (2**70 + 1, 2**70, 2**70 + 3, 2**70 + 2), (2**30 + 1, 2**30, 2**30 + 4, 2**30 + 3)],
+    )
     def test_centre_draws_are_redrawn_like_scalar_sampler(self, monkeypatch, pair):
         n = 2100
         rng = random.Random(8)
