@@ -53,9 +53,11 @@ class Slopes:
 
     The sign of each pair selects one of the two half-planes its line bounds;
     negating (a, b) or (c, d) picks the opposite one, so all four corner
-    regions of the line crossing are reachable. `bezout` is a pair (x, y)
-    with a*x - b*y == 1, computed once at construction and kept outside the
-    dataclass fields, so eq, hash and repr ignore it.
+    regions of the line crossing are reachable. Three invariants are computed
+    once at construction and kept outside the dataclass fields, so eq, hash
+    and repr ignore them: `det` = ad - bc, `count` = D = |ad - bc| (the
+    number of distinct digitized shapes) and `bezout`, a pair (x, y) with
+    a*x - b*y == 1.
     """
 
     a: int
@@ -67,19 +69,13 @@ class Slopes:
         for p, q, name in ((self.a, self.b, "first"), (self.c, self.d, "second")):
             if math.gcd(p, q) != 1:
                 raise ValueError(f"{name} slope pair ({p}, {q}) is not coprime")
-        if self.det == 0:
+        det = self.a * self.d - self.b * self.c
+        if det == 0:
             raise ParallelSlopes(f"slopes {self.a}/{self.b} and {self.c}/{self.d} are parallel")
         _, x, y = extended_gcd(self.a, self.b)
+        object.__setattr__(self, "det", det)
+        object.__setattr__(self, "count", abs(det))
         object.__setattr__(self, "bezout", (x, y))
-
-    @property
-    def det(self) -> int:
-        return self.a * self.d - self.b * self.c
-
-    @property
-    def count(self) -> int:
-        """D = |ad - bc|: the number of distinct digitized shapes."""
-        return abs(self.det)
 
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)

@@ -37,9 +37,13 @@ def parse_rational(text: str) -> Fraction:
     """Parse "num/den" or a decimal literal to an exact Fraction.
 
     Fraction's own string parser is exact for both forms ("0.1" -> 1/10);
-    no float is ever constructed.
+    no float is ever constructed. A zero denominator raises ValueError, as
+    any other malformed text does.
     """
-    return Fraction(text.strip())
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text.strip()!r}") from None
 
 
 def format_rational(r: Fraction | int) -> str:

@@ -80,16 +80,15 @@ def class_fingerprint(slopes: Slopes, alpha: int, beta: int, window: int) -> tup
     (k, l), so equivalent parameter pairs produce identical fingerprints at
     equal window.
     """
-    a, b, c, d = slopes.as_tuple()
-    det = b * c - a * d
-    am = (b * beta - d * alpha) // det
-    an = (a * beta - c * alpha) // det
+    a, b, c, d, det = slopes.a, slopes.b, slopes.c, slopes.d, slopes.det
+    am = (d * alpha - b * beta) // det
+    an = (c * alpha - a * beta) // det
     cols = window_columns(a, b, c, d, alpha, beta, (am, an), window)
     if not cols:
         return (), (0, 0)
     min_m = cols[0][0]
-    min_n = min(lo for _, lo, _ in cols)
-    sig = tuple((m - min_m, lo - min_n, hi - min_n) for m, lo, hi in cols)
+    min_n = min([lo for _, lo, _ in cols])
+    sig = tuple([(m - min_m, lo - min_n, hi - min_n) for m, lo, hi in cols])
     return sig, (am - min_m, an - min_n)
 
 
@@ -150,11 +149,34 @@ def class_signatures(slopes: Slopes, window: int | None = None) -> tuple[int, li
 
 def _bitmaps(sigs: list[Columns]) -> list[PixelSet]:
     """Pixel sets of canonical column tables, built from one grid of (m, n)
-    tuples that all of them share."""
+    tuples that all of them share.
+
+    Neighbouring classes differ in few pixels. A table with the same column
+    list as the one before it starts from a copy of that one's set, which
+    reuses its stored hashes; each run that moved from [lo0, hi0] to
+    [lo1, hi1] then toggles the rows between the two lows and between the
+    two highs, which is exact also for disjoint runs. Other tables are built
+    from their runs.
+    """
     width = 1 + max(sig[-1][0] for sig in sigs)
     height = 1 + max(hi for sig in sigs for _, _, hi in sig)
     grid = [[(m, n) for n in range(height)] for m in range(width)]
-    return [frozenset(chain.from_iterable(grid[m][lo : hi + 1] for m, lo, hi in sig)) for sig in sigs]
+    out: list[PixelSet] = []
+    prev_sig, prev_cols = (), None
+    for sig in sigs:
+        cols = [m for m, _, _ in sig]
+        if cols == prev_cols:
+            work = set(out[-1])
+            for (m, lo0, hi0), (_, lo1, hi1) in zip(prev_sig, sig):
+                if lo0 != lo1 or hi0 != hi1:
+                    col = grid[m]
+                    work.symmetric_difference_update(col[min(lo0, lo1) : max(lo0, lo1)])
+                    work.symmetric_difference_update(col[min(hi0, hi1) + 1 : max(hi0, hi1) + 1])
+            out.append(frozenset(work))
+        else:
+            out.append(frozenset(chain.from_iterable(grid[m][lo : hi + 1] for m, lo, hi in sig)))
+        prev_sig, prev_cols = sig, cols
+    return out
 
 
 def enumerate_shapes(slopes: Slopes, window: int | None = None) -> list[ShapeClass]:

@@ -257,12 +257,12 @@ def cells_match_classes(slopes: Slopes) -> bool:
     """Whether the centre base + (e1 + e2)/2 of every partition cell j is a
     corner of class j by the closed-form class formula; over 2D the centre of
     the cell based at (x, y) / (2D) is the integer pair (x + b - d, y + a - c)."""
-    a, b, c, d = slopes.as_tuple()
+    a, b, c, d = slopes.a, slopes.b, slopes.c, slopes.d
     q = 2 * slopes.count
-    return all(
-        class_of_params(slopes, *threshold_ceilings(slopes, x + b - d, y + a - c, q)) == j
-        for j, x, y in cell_bases(slopes)
-    )
+    for j, x, y in cell_bases(slopes):
+        if class_of_params(slopes, *threshold_ceilings(slopes, x + b - d, y + a - c, q)) != j:
+            return False
+    return True
 
 
 # --- the center-membership property ---------------------------------------------
@@ -447,7 +447,7 @@ def theorem_sweep(max_shapes: int, max_entry: int | None = None) -> SweepReport:
             slopes = Slopes(a, b, c, d)
             expected = slopes.count
             try:
-                window, sigs = class_signatures(slopes, max(map(abs, slopes.as_tuple())))
+                window, sigs = class_signatures(slopes, max(abs(a), abs(b), abs(c), abs(d)))
                 report.entries.append(
                     SweepEntry(
                         slopes.as_tuple(), expected, len({sig for sig, _ in sigs}),

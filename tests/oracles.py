@@ -23,3 +23,9 @@ def column_interval(a, b, c, d, alpha, beta, m):
             if v < 0:  # q == 0: column is all-or-nothing
                 return None
     return lo, hi
+
+
+def direct_bitmaps(sigs):
+    """Pixel sets of canonical column tables (column, row_lo, row_hi), each
+    built from its own runs alone."""
+    return [frozenset((m, n) for m, lo, hi in sig for n in range(lo, hi + 1)) for sig in sigs]

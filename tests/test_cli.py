@@ -160,6 +160,15 @@ def test_usage_error_exit_code_two():
     assert r.returncode == 2
 
 
+def test_zero_denominator_corner_is_usage_error():
+    # used to end in a ZeroDivisionError traceback, which argparse does not catch
+    for corner in ("1/0,1", "1,1/0"):
+        r = run("classify", "--slope1", "2/1", "--slope2", "-3/1", "--corner", corner)
+        assert r.returncode == 2, corner
+        assert r.stdout == b"" and b"Traceback" not in r.stderr, corner
+        assert b"--corner" in r.stderr, corner
+
+
 def test_center_corner_digitize_exit_code_one():
     r = run("digitize", "--slope1", "2/1", "--slope2", "-3/1", "--corner", "1/2,1/2")
     assert r.returncode == 1

@@ -292,6 +292,21 @@ class TestSlopesBezout:
         assert s == t and {s: 1}[t] == 1
         assert [f.name for f in dataclasses.fields(Slopes)] == ["a", "b", "c", "d"]
         assert pickle.loads(pickle.dumps(s)) == s
+        # det and count are cached beside bezout, outside the fields
+        assert (s.det, s.count) == (2 * 1 - 1 * -3, 5)
+        neg = Slopes(1, 2, 3, 1)
+        assert (neg.det, neg.count) == (-5, 5)
+        assert repr(neg) == "Slopes(a=1, b=2, c=3, d=1)"
+        assert hash(neg) == hash(Slopes(1, 2, 3, 1)) == hash((1, 2, 3, 1))
+        for u in (s, neg):
+            back = pickle.loads(pickle.dumps(u))
+            assert (back.det, back.count, back.bezout) == (u.det, u.count, u.bezout)
+            assert (repr(back), hash(back)) == (repr(u), hash(u))
+        moved = dataclasses.replace(neg, c=-3)
+        assert (moved.det, moved.count) == (7, 7)
+        assert moved.bezout == neg.bezout and moved == Slopes(1, 2, -3, 1)
+        same = dataclasses.replace(s)
+        assert (same.det, same.count, same.bezout) == (s.det, s.count, s.bezout) and same == s
 
     def test_class_of_params_runs_extended_gcd_once_per_slopes(self, monkeypatch):
         calls = []

@@ -62,3 +62,9 @@ def test_rational_string_forms():
     assert format_rational(Fraction(-2, 5)) == "-2/5"
     assert format_rational(3) == "3/1"
     assert parse_rational(format_rational(Fraction(22, 7))) == Fraction(22, 7)
+
+
+def test_zero_denominator_is_value_error():
+    for text in ("1/0", " -3/0 ", "0/0"):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_rational(text)

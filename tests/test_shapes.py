@@ -24,10 +24,11 @@ from pixelwedge import (
     shift_params,
 )
 from pixelwedge.digitize import angle_thresholds, corner_ceilings, region_pixels
-from pixelwedge.shapes import class_fingerprint
+from pixelwedge.shapes import _bitmaps, class_fingerprint, class_signatures
 from pixelwedge.verify import coprime_pairs, hobby_region_check
 
 from conftest import coprime_pair, corner_st, slopes_st
+from oracles import direct_bitmaps
 
 F = Fraction
 
@@ -385,6 +386,61 @@ class TestEnumerateAgainstReference:
         for s in shapes:
             for px in s.bitmap:
                 assert pool.setdefault(px, px) is px
+
+
+def column_tables(pair):
+    """The class tables of a pair at the sweep's base window max |entry|."""
+    window = max(abs(e) for e in pair)
+    return [sig for sig, _ in class_signatures(Slopes(*pair), window)[1]]
+
+
+def neighbour_moves(sigs):
+    """(runs disjoint from the same column's run in the class before, classes
+    whose column list differs from the one before)."""
+    disjoint = changed = 0
+    for s0, s1 in zip(sigs, sigs[1:]):
+        if [m for m, _, _ in s0] != [m for m, _, _ in s1]:
+            changed += 1
+            continue
+        disjoint += sum(hi1 < lo0 or lo1 > hi0 for (_, lo0, hi0), (_, lo1, hi1) in zip(s0, s1))
+    return disjoint, changed
+
+
+class TestBitmapsAgainstDirectBuild:
+    def test_named_neighbour_cases(self):
+        # class 1 of (-1,-3,-1,-1): column 6 moves from rows 4..4 to 3..3;
+        # class 1 of (-1,-1,1,-1) occupies other columns than class 0
+        for pair, moves in (((-1, -3, -1, -1), (1, 0)), ((-1, -1, 1, -1), (0, 1))):
+            sigs = column_tables(pair)
+            assert neighbour_moves(sigs) == moves, pair
+            assert _bitmaps(sigs) == direct_bitmaps(sigs), pair
+        sigs = column_tables((-1, -3, -1, -1))
+        assert (6, 4, 4) in sigs[0] and (6, 3, 3) in sigs[1]
+
+    def test_every_small_pair_and_seeded_large_pairs(self):
+        pairs = [
+            (a, b, c, d)
+            for a, b in coprime_pairs(4)
+            for c, d in coprime_pairs(4)
+            if a * d - b * c
+        ]
+        assert len(pairs) == 2208
+        rng = random.Random(10)
+        large = []
+        while len(large) < 20:
+            a, b, c, d = pair = tuple(rng.randint(-16, 16) for _ in range(4))
+            if math.gcd(a, b) == 1 and math.gcd(c, d) == 1 and 26 <= abs(a * d - b * c) <= 250:
+                large.append(pair)
+        disjoint = changed = derived = 0
+        for pair in pairs + large:
+            sigs = column_tables(pair)
+            assert _bitmaps(sigs) == direct_bitmaps(sigs), pair
+            moves = neighbour_moves(sigs)
+            disjoint += moves[0]
+            changed += moves[1]
+            derived += len(sigs) - 1 - moves[1]
+        # every branch of the derivation ran, many times
+        assert disjoint > 100 and changed > 1000 and derived > 10000, (disjoint, changed, derived)
 
 
 def column_top_diffs(bitmap):
