@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .digitize import AngleSpec, Slopes, digitize_angle_path
 from .errors import DomainError, UnsupportedFormat
-from .exact import format_rational, parse_rational
+from .exact import check_rational_text, format_rational, parse_rational
 from .partition import partition_unit_square
 from .render import RenderOptions, json_line, render_partition, render_pixelset
 from .shapes import class_index, enumerate_shapes, region_params, shape_of_spec
@@ -23,6 +23,16 @@ from .verify import sample_class_frequencies, sweep_pair_estimate, theorem_sweep
 _VALUE_FLAGS = ("--slope1", "--slope2", "--corner")
 # `sweep N` scans ~N**4 slope pairs; this admits N <= 19 (921600 pairs, ~20 s on 2 CPUs)
 SWEEP_PAIR_LIMIT = 1_000_000
+# `verify` keeps a count per class, in every block; this admits D <= 10**6 (8 MB a list)
+VERIFY_CLASS_LIMIT = 1_000_000
+
+
+def _bounded(text: str) -> str:
+    """`check_rational_text`, refusing as a usage error that names the limit."""
+    try:
+        return check_rational_text(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def parse_slope_pair(text: str) -> tuple[int, int]:
@@ -31,7 +41,7 @@ def parse_slope_pair(text: str) -> tuple[int, int]:
     The written orientation matters: (3, -1) and (-3, 1) select opposite
     half-planes, so reduction divides by the positive gcd only.
     """
-    text = text.strip()
+    text = _bounded(text)
     if "/" in text:
         num, den = text.split("/", 1)
         p, q = int(num), int(den)
@@ -49,7 +59,7 @@ def parse_corner(text: str) -> tuple[Fraction, Fraction]:
         x, y = text.split(",", 1)
     except ValueError:
         raise ValueError(f"corner must be 'x,y', got {text!r}") from None
-    return parse_rational(x), parse_rational(y)
+    return parse_rational(_bounded(x)), parse_rational(_bounded(y))
 
 
 def positive_int(text: str) -> int:
@@ -167,7 +177,13 @@ def _run(args) -> bytes:
         return render_partition(cells, RenderOptions(format=args.format, scale=512))
 
     if args.command == "verify":
-        hist = sample_class_frequencies(_slopes(args), args.samples, args.seed)
+        slopes = _slopes(args)
+        if slopes.count > VERIFY_CLASS_LIMIT:
+            raise DomainError(
+                f"verify would count {slopes.count} shape classes, "
+                f"over the limit of {VERIFY_CLASS_LIMIT}"
+            )
+        hist = sample_class_frequencies(slopes, args.samples, args.seed)
         if args.format == "json":
             return json_line(hist.to_json_dict())
         return (hist.table() + "\n").encode()

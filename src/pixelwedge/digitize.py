@@ -244,10 +244,10 @@ def digitize_polyline(points: list[Point]) -> GridPath:
         raise ValueError("polyline needs distinct consecutive vertices")
     for end in (pts[0], pts[-1]):
         if is_half_integer(end[0]) or is_half_integer(end[1]):
-            raise HalfIntegerTie(f"path endpoint {end} rounds ambiguously")
+            raise HalfIntegerTie(f"path endpoint ({end[0]}, {end[1]}) rounds ambiguously")
     for v in pts[1:-1]:
         if is_pixel_center(v):
-            raise PixelCenterHit(f"path vertex {v} is a pixel center")
+            raise PixelCenterHit(f"path vertex ({v[0]}, {v[1]}) is a pixel center")
 
     events: dict[Fraction, set[int]] = {}
     nseg = len(pts) - 1

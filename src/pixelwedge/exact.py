@@ -33,17 +33,37 @@ def extended_gcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, x, y
 
 
+# characters of one rational's text, and the largest |exponent| of a decimal:
+# Fraction and int do work that grows with both, and ints print at most 4300 digits
+TEXT_LIMIT = 300
+
+
+def check_rational_text(text: str) -> str:
+    """`text` stripped; ValueError if it is longer than TEXT_LIMIT characters
+    or carries a decimal exponent past +-TEXT_LIMIT. Reads no number longer
+    than the text, so it is safe to call before Fraction or int."""
+    text = text.strip()
+    if len(text) > TEXT_LIMIT:
+        raise ValueError(f"rational text of {len(text)} characters, over the limit of {TEXT_LIMIT}")
+    exponent = text.lower().partition("e")[2]
+    digits = exponent.lstrip("+-").replace("_", "")
+    if digits.isdecimal() and int(digits) > TEXT_LIMIT:
+        raise ValueError(f"decimal exponent {exponent}, past the limit of +-{TEXT_LIMIT}")
+    return text
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse "num/den" or a decimal literal to an exact Fraction.
 
     Fraction's own string parser is exact for both forms ("0.1" -> 1/10);
-    no float is ever constructed. A zero denominator raises ValueError, as
-    any other malformed text does.
+    no float is ever constructed. Text past `check_rational_text`'s limits,
+    a zero denominator and any other malformed text raise ValueError.
     """
+    text = check_rational_text(text)
     try:
-        return Fraction(text.strip())
+        return Fraction(text)
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text.strip()!r}") from None
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def format_rational(r: Fraction | int) -> str:

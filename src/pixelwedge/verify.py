@@ -4,12 +4,11 @@ Monte Carlo corners are exact dyadic rationals (64-bit numerator over 2^64),
 so classification never leaves integer arithmetic and results are bit-stable
 for a given seed regardless of worker count. Corners are classified a chunk
 at a time: one getrandbits call fills a chunk of draws, and a few
-big-integer operations over packed integer lanes give every draw's class
-parameters. Where a key fits one 64-bit word, the lanes are masked straight
-out of the draw integer; only keys over 64 bits need the coordinates spread
-through a byte buffer into wider lanes. Keys are counted as 64-bit words.
-The random stream, and so every count, is the same as drawing and
-classifying one corner at a time.
+big-integer operations over 128-bit lanes, masked straight out of the draw
+integer, give every draw's class parameters as a 64-bit key. A chunk whose
+keys are wider than 64 bits, or which holds a pixel-centre draw, goes draw
+by draw through `threshold_ceilings` instead. The random stream, and so
+every count, is the same as drawing and classifying one corner at a time.
 """
 from __future__ import annotations
 
@@ -138,37 +137,31 @@ def _count_block(slopes_tuple, seed, block, take):
 
     Draws come in chunks of up to _CHUNK 128-bit lanes of one getrandbits
     call: px in bits 0-63 of a lane, py in bits 64-127, the same words as two
-    getrandbits(64) calls. A pixel-centre draw is dropped, counted as
-    resampled and replaced from the next chunk, as a per-sample redraw would.
-    The arithmetic runs in lanes of `words` 64-bit words, so that
-    off + a*px - b*py stays in [0, (|a|+|b|+1) * 2^64) and never borrows
+    getrandbits(64) calls. Where the key alpha | beta << ka fits one 64-bit
+    word, px and py are masked straight out of the draw integer, and
+    off + a*px - b*py stays in [0, (|a|+|b|+1) * 2^64), so it never borrows
     across lanes: one shift then gives every lane's ceiling of
     (a*nx - b*ny) / 2^64, offset by (|a|+|b|) // 2, in its low ka bits, and
-    the next lane's low word in its top 64. The key bits alpha | beta << ka
-    lie below that word, so only beta needs a mask.
+    the next lane's low word in its top 64. The key lies below that word, so
+    only beta needs a mask, and each lane's low word is its key.
 
-    When a key fits one 64-bit word, a lane is one 128-bit draw: px and py
-    are masked straight out of the draw integer, and each lane's low word is
-    its key. Keys over 64 bits need wider lanes, into which px and py are
-    spread through a byte buffer. Keys are counted as 64-bit words (as tuples
-    of them when wider), and each distinct key is classified once by
-    class_of_params.
+    A chunk goes draw by draw, through threshold_ceilings, when its keys are
+    wider than 64 bits or it holds the bytes of the pixel centre (1/2, 1/2)
+    anywhere. A centre draw is then dropped, counted as resampled and
+    replaced from the next chunk, as a per-sample redraw would. Each draw's
+    key is counted, however wide, and each distinct key is classified once
+    by class_of_params.
     """
     a, b, c, d = slopes_tuple
     slopes = Slopes(a, b, c, d)
     sa, sc = abs(a) + abs(b), abs(c) + abs(d)
+    ha, hc = sa // 2, sc // 2  # key offsets: alpha + ha and beta + hc lie in [0, sa] and [0, sc]
     ka, kc = sa.bit_length(), sc.bit_length()  # bits of alpha and beta in a key
-    key_words = -(-(ka + kc) // 64)
-    words = -(-(_Q_BITS + ka + kc) // 64)  # 2 exactly when key_words is 1
-    lane = 8 * words
-    # lane value (sa // 2 + ceil(v / 2^64)) * 2^64 + r, 0 <= r < 2^64, for v = a*nx - b*ny
-    off_a = (sa // 2 + 1) * _Q - 1 - (a - b) * _HALF_Q
-    off_c = (sc // 2 + 1) * _Q - 1 - (c - d) * _HALF_Q
+    lanes_fit = ka + kc <= 64
+    # lane value (ha + ceil(v / 2^64)) * 2^64 + r, 0 <= r < 2^64, for v = a*nx - b*ny
+    off_a = (ha + 1) * _Q - 1 - (a - b) * _HALF_Q
+    off_c = (hc + 1) * _Q - 1 - (c - d) * _HALF_Q
     lanes = {}  # chunk size -> (offsets, beta mask and low-word mask repeated per lane)
-    if key_words > 1:
-        buf = bytearray(lane * _CHUNK)
-        buf_view = memoryview(buf)
-        buf_words = buf_view.cast("Q")
     rng = random.Random(f"{seed}/{block}")
     keys = Counter()
     resampled = 0
@@ -176,43 +169,27 @@ def _count_block(slopes_tuple, seed, block, take):
         t = min(_CHUNK, take)
         draw = rng.getrandbits(128 * t)
         raw = draw.to_bytes(16 * t, "little")
-        at = raw.find(_CENTRE)
-        if at >= 0:
-            kept, start = [], 0
-            while at >= 0:
-                if at % 16 == 0:  # a whole lane, not bytes straddling two
-                    kept.append(raw[start:at])
-                    start = at + 16
-                at = raw.find(_CENTRE, at + 1)
-            kept.append(raw[start:])
-            raw = b"".join(kept)
-            draw = int.from_bytes(raw, "little")
-            resampled += t - len(raw) // 16
-            t = len(raw) // 16
+        if not lanes_fit or _CENTRE in raw:
+            words = memoryview(raw).cast("Q")
+            kept = [(px, py) for px, py in zip(words[::2], words[1::2]) if px != _HALF_Q or py != _HALF_Q]
+            resampled += t - len(kept)
+            take -= len(kept)
+            ceilings = (threshold_ceilings(slopes, px, py, _Q) for px, py in kept)
+            keys.update(alpha + ha | (beta + hc) << ka for alpha, beta in ceilings)
+            continue
         take -= t
         if t not in lanes:
-            ones = int.from_bytes((b"\1" + bytes(lane - 1)) * t, "little")
+            ones = int.from_bytes((b"\1" + bytes(15)) * t, "little")
             lanes[t] = (off_a * ones, off_c * ones, ((1 << kc) - 1) * ones, (_Q - 1) * ones)
         lane_a, lane_c, mask_c, low = lanes[t]
-        n = t * lane
-        if key_words == 1:
-            px, py = draw & low, draw >> _Q_BITS & low
-        else:
-            raw_words = memoryview(raw).cast("Q")
-            buf_words[: t * words : words] = raw_words[0::2]
-            px = int.from_bytes(buf_view[:n], "little")
-            buf_words[: t * words : words] = raw_words[1::2]
-            py = int.from_bytes(buf_view[:n], "little")
-            del raw_words
+        px, py = draw & low, draw >> _Q_BITS & low
         del draw, raw  # lowers the peak heap of the lane arithmetic below
         alphas = (lane_a + a * px - b * py) >> _Q_BITS
         betas = ((lane_c + c * px - d * py) >> _Q_BITS) & mask_c
-        packed = memoryview((alphas | betas << ka).to_bytes(n, "little")).cast("Q")
-        keys.update(packed[::words] if key_words == 1 else zip(*[packed[j::words] for j in range(key_words)]))
+        keys.update(memoryview((alphas | betas << ka).to_bytes(16 * t, "little")).cast("Q")[::2])
     counts = [0] * slopes.count
     for key, cnt in keys.items():
-        k = key if key_words == 1 else sum(w << 64 * j for j, w in enumerate(key))
-        alpha, beta = (k & ((1 << ka) - 1)) - sa // 2, (k >> ka) - sc // 2
+        alpha, beta = (key & ((1 << ka) - 1)) - ha, (key >> ka) - hc
         counts[class_of_params(slopes, alpha, beta)] += cnt
     return counts, resampled
 

@@ -146,6 +146,17 @@ def test_out_into_missing_directory_is_one_line_refusal(tmp_path):
     assert r.stderr.startswith(b"pixelwedge: ") and r.stderr.count(b"\n") == 1
 
 
+def test_verify_over_the_class_limit_is_refused_at_once():
+    # D = 10**30 + 3: `[0] * D` raised OverflowError, a traceback
+    r = subprocess.run(BASE + ["verify", "--slope1", "1e30", "--slope2", "-3/1", "--samples", "10"],
+                       capture_output=True, timeout=1)
+    assert r.returncode == 1 and r.stdout == b""
+    assert r.stderr.startswith(b"pixelwedge: ") and r.stderr.count(b"\n") == 1
+    from pixelwedge.cli import VERIFY_CLASS_LIMIT
+
+    assert str(10**30 + 3).encode() in r.stderr and str(VERIFY_CLASS_LIMIT).encode() in r.stderr
+
+
 def test_parallel_slopes_exit_code_one():
     r = run("classify", "--slope1", "2/1", "--slope2", "4/2", "--corner", "0,0")
     assert r.returncode == 1
@@ -167,6 +178,41 @@ def test_zero_denominator_corner_is_usage_error():
         assert r.returncode == 2, corner
         assert r.stdout == b"" and b"Traceback" not in r.stderr, corner
         assert b"--corner" in r.stderr, corner
+
+
+def test_ambiguous_endpoint_message_prints_rationals():
+    r = run("digitize", "--slope1", "-0.5", "--slope2", "0/1", "--corner", "10,10.5", "--window", "3")
+    assert r.returncode == 1 and r.stdout == b""
+    assert r.stderr == b"pixelwedge: path endpoint (8/3, 21/2) rounds ambiguously\n"
+
+
+def test_unbounded_rational_text_is_usage_error():
+    # 1e5000000 kept Fraction busy for seconds; a 5001-digit slope ended in
+    # CPython's int-to-string digit limit, reported as a domain error
+    for flag, value in (("--corner", "1e5000000,1"), ("--slope1", "1e5000")):
+        argv = {"--slope1": "2/1", "--slope2": "-3/1", "--corner": "1/3,1/5", flag: value}
+        # raises TimeoutExpired, and kills the run, if it takes a second
+        r = subprocess.run(BASE + ["classify", *(t for kv in argv.items() for t in kv)],
+                           capture_output=True, timeout=1)
+        assert r.returncode == 2 and r.stdout == b"", value
+        assert b"Traceback" not in r.stderr and flag.encode() in r.stderr, value
+    r = run("classify", "--slope1", "2/1", "--slope2", "-3/1", "--corner", "1," + "1" * 301)
+    assert r.returncode == 2 and b"300" in r.stderr
+
+
+def test_largest_admitted_rational_text_is_answered():
+    # 300 characters each, with the largest exponent either way: parts of up to
+    # 594 digits, and thresholds of ~2080 characters, under CPython's 4300 digits
+    s1, s2 = "9." + "3" * 292 + "7e-300", "-7." + "3" * 291 + "7e-300"
+    x, y = "1." + "3" * 292 + "7e-300", "-2." + "3" * 291 + "7e+300"
+    from pixelwedge.exact import TEXT_LIMIT
+
+    assert {len(s1), len(s2), len(x), len(y)} == {TEXT_LIMIT}
+    r = run("classify", "--slope1", s1, "--slope2", s2, "--corner", f"{x},{y}", "--format", "json")
+    assert r.returncode == 0, r.stderr
+    payload = json.loads(r.stdout)
+    assert len(payload["alpha"]) > 2000 and len(payload["beta"]) > 2000
+    assert payload["classes"] > 10**800
 
 
 def test_center_corner_digitize_exit_code_one():

@@ -158,8 +158,12 @@ class TestDigitizeSegment:
             digitize_segment((0, 0), (1, 1))  # passes through (1/2, 1/2)
 
     def test_half_integer_endpoint_rejected(self):
-        with pytest.raises(HalfIntegerTie):
+        with pytest.raises(HalfIntegerTie, match=r"^path endpoint \(1/2, 0\) rounds ambiguously$"):
             digitize_segment((F(1, 2), 0), (2, 1))
+
+    def test_centre_vertex_rejected(self):
+        with pytest.raises(PixelCenterHit, match=r"^path vertex \(1/2, 3/2\) is a pixel center$"):
+            digitize_polyline([(0, 0), (F(1, 2), F(3, 2)), (2, 0)])
 
     def test_degenerate_segment_rejected(self):
         with pytest.raises(ValueError):

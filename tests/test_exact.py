@@ -68,3 +68,11 @@ def test_zero_denominator_is_value_error():
     for text in ("1/0", " -3/0 ", "0/0"):
         with pytest.raises(ValueError, match="zero denominator"):
             parse_rational(text)
+
+
+def test_text_past_the_limit_is_value_error():
+    assert parse_rational("1e300") == 10**300 and parse_rational(" 1E-300 ") == Fraction(1, 10**300)
+    assert parse_rational("1" * 300) == int("1" * 300)
+    for text in ("1e301", "1E-301", "2.5e+0301", "1" * 301, "1/" + "3" * 299):
+        with pytest.raises(ValueError, match=r"limit of (\+-)?300$"):
+            parse_rational(text)

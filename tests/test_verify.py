@@ -170,8 +170,12 @@ WIDE_PAIRS = [
     (2**70 + 1, 2**70, 2**70 + 3, 2**70 + 2),  # D = 2
     (2**40 + 1, 2**40, 2**40 + 4, 2**40 + 3),  # D = 3: keys wider than 64 bits
     (2**70 + 1, 2**70, 2**70 + 4, 2**70 + 3),  # D = 3
-    (2**30 + 1, 2**30, 2**30 + 4, 2**30 + 3),  # D = 3: keys of 64 bits, two-word lanes
-    (2**30 + 1, 2**30, 2**31 + 5, 2**31 + 3),  # D = 3: keys of 65 bits, three-word lanes
+    (2**30 + 1, 2**30, 2**30 + 4, 2**30 + 3),  # D = 3: keys of 64 bits, through the lanes
+    (2**30 + 1, 2**30, 2**31 + 5, 2**31 + 3),  # D = 3: keys of 65 bits, draw by draw
+    (2**62 + 1, 2**62 - 1, 1, 1),  # D = 2: keys of 66 bits, draw by draw
+    (2**61 + 2, 2**61 - 1, 1, 1),  # D = 3: keys of 65 bits, the top one set in half the draws, draw by draw
+    (2**60 + 1, 2**60 - 1, 1, 1),  # D = 2: keys of 64 bits, through the lanes
+    (1, 1, 2**62 + 1, 2**62 - 1),  # D = 2: keys of 66 bits, draw by draw
 ]
 
 
