@@ -15,9 +15,9 @@ from fractions import Fraction
 from .digitize import AngleSpec, Slopes, digitize_angle_path
 from .errors import DomainError, UnsupportedFormat
 from .exact import check_rational_text, format_rational, parse_rational
-from .partition import partition_unit_square
+from .partition import fragment_bound, partition_unit_square
 from .render import RenderOptions, json_line, render_partition, render_pixelset
-from .shapes import class_index, enumerate_shapes, region_params, shape_of_spec
+from .shapes import class_index, default_window, enumerate_shapes, region_params, shape_of_spec
 from .verify import sample_class_frequencies, sweep_pair_estimate, theorem_sweep
 
 _VALUE_FLAGS = ("--slope1", "--slope2", "--corner")
@@ -25,6 +25,12 @@ _VALUE_FLAGS = ("--slope1", "--slope2", "--corner")
 SWEEP_PAIR_LIMIT = 1_000_000
 # `verify` keeps a count per class, in every block; this admits D <= 10**6 (8 MB a list)
 VERIFY_CLASS_LIMIT = 1_000_000
+# `enumerate` builds up to D*(2w+1)**2 bitmap pixels, about half of them at worst;
+# at 10**7 the json answer takes ~6 s and ~400 MB on 2 CPUs
+ENUMERATE_PIXEL_LIMIT = 10_000_000
+# `partition` writes D cells (json) or every cell's pieces (svg, see fragment_bound);
+# at 10**5 either takes under ~10 s on 2 CPUs
+PARTITION_PIECE_LIMIT = 100_000
 
 
 def _bounded(text: str) -> str:
@@ -163,7 +169,15 @@ def _run(args) -> bytes:
         return f"class {j} of {d}\n".encode()
 
     if args.command == "enumerate":
-        shapes = enumerate_shapes(_slopes(args), args.window)
+        slopes = _slopes(args)
+        w = default_window(slopes) if args.window is None else args.window
+        pixels = slopes.count * (2 * w + 1) ** 2
+        if pixels > ENUMERATE_PIXEL_LIMIT:
+            raise DomainError(
+                f"enumerate would build up to {pixels} bitmap pixels, "
+                f"over the limit of {ENUMERATE_PIXEL_LIMIT}"
+            )
+        shapes = enumerate_shapes(slopes, w)
         if args.format == "json":
             return json_line([s.to_json_dict() for s in shapes])
         blocks = []
@@ -173,7 +187,14 @@ def _run(args) -> bytes:
         return "\n".join(blocks).encode()
 
     if args.command == "partition":
-        cells = partition_unit_square(_slopes(args))
+        slopes = _slopes(args)
+        pieces = slopes.count if args.format == "json" else fragment_bound(slopes)
+        if pieces > PARTITION_PIECE_LIMIT:
+            raise DomainError(
+                f"partition --format {args.format} would write up to {pieces} polygons, "
+                f"over the limit of {PARTITION_PIECE_LIMIT}"
+            )
+        cells = partition_unit_square(slopes)
         return render_partition(cells, RenderOptions(format=args.format, scale=512))
 
     if args.command == "verify":

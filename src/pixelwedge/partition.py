@@ -157,6 +157,17 @@ def _int_fragments(cell: Parallelogram) -> tuple[int, list[list[tuple[int, int]]
     return s, frags
 
 
+def fragment_bound(slopes: Slopes) -> int:
+    """An upper bound on the fragments of all D cells together.
+
+    Every cell spans (|b| + |d|)/D in x and (|a| + |c|)/D in y, so it meets
+    at most (|b| + |d|)//D + 2 unit columns and (|a| + |c|)//D + 2 unit rows.
+    """
+    a, b, c, d = slopes.as_tuple()
+    D = slopes.count
+    return D * ((abs(b) + abs(d)) // D + 2) * ((abs(a) + abs(c)) // D + 2)
+
+
 def _as_fractions(frag, s: int) -> list[Point]:
     return [(Fraction(x, s), Fraction(y, s)) for x, y in frag]
 

@@ -151,22 +151,27 @@ def _bitmaps(sigs: list[Columns]) -> list[PixelSet]:
     """Pixel sets of canonical column tables, built from one grid of (m, n)
     tuples that all of them share.
 
-    Neighbouring classes differ in few pixels. A table with the same column
-    list as the one before it starts from a copy of that one's set, which
-    reuses its stored hashes; each run that moved from [lo0, hi0] to
-    [lo1, hi1] then toggles the rows between the two lows and between the
-    two highs, which is exact also for disjoint runs. Other tables are built
-    from their runs.
+    Neighbouring classes differ in few pixels. One mutable working set
+    carries a class's pixels into the next when both have the same column
+    list: each run that moved from [lo0, hi0] to [lo1, hi1] toggles the rows
+    between the two lows and between the two highs in place, which is exact
+    also for disjoint runs, and the class is frozen from it, one table copy
+    that reuses the stored hashes. A table with another column list than the
+    one before it is built from its runs, and the working set is taken from
+    it only once a class follows with the same column list, so a lone table
+    costs no copy.
     """
     width = 1 + max(sig[-1][0] for sig in sigs)
     height = 1 + max(hi for sig in sigs for _, _, hi in sig)
     grid = [[(m, n) for n in range(height)] for m in range(width)]
     out: list[PixelSet] = []
+    work: set | None = None
     prev_sig, prev_cols = (), None
     for sig in sigs:
         cols = [m for m, _, _ in sig]
         if cols == prev_cols:
-            work = set(out[-1])
+            if work is None:
+                work = set(out[-1])
             for (m, lo0, hi0), (_, lo1, hi1) in zip(prev_sig, sig):
                 if lo0 != lo1 or hi0 != hi1:
                     col = grid[m]
@@ -174,6 +179,7 @@ def _bitmaps(sigs: list[Columns]) -> list[PixelSet]:
                     work.symmetric_difference_update(col[min(hi0, hi1) + 1 : max(hi0, hi1) + 1])
             out.append(frozenset(work))
         else:
+            work = None
             out.append(frozenset(chain.from_iterable(grid[m][lo : hi + 1] for m, lo, hi in sig)))
         prev_sig, prev_cols = sig, cols
     return out

@@ -408,6 +408,10 @@ def theorem_sweep(max_shapes: int, max_entry: int | None = None) -> SweepReport:
     built. The window starts at max(|a|, |b|, |c|, |d|) and doubles until the
     D fingerprints differ; each clips the region around an anchor that moves
     with it, so distinct fingerprints prove distinct classes at any window.
+    The distinctness check is class_signatures' own: it returns the D
+    fingerprints only once they are pairwise distinct, so an entry's
+    `classes` is their number, and otherwise raises WindowTooSmall, which is
+    recorded as a failing entry.
     """
     if max_shapes < 1:
         raise ValueError("max_shapes must be >= 1")
@@ -426,10 +430,7 @@ def theorem_sweep(max_shapes: int, max_entry: int | None = None) -> SweepReport:
             try:
                 window, sigs = class_signatures(slopes, max(abs(a), abs(b), abs(c), abs(d)))
                 report.entries.append(
-                    SweepEntry(
-                        slopes.as_tuple(), expected, len({sig for sig, _ in sigs}),
-                        window, cells_match_classes(slopes),
-                    )
+                    SweepEntry(slopes.as_tuple(), expected, len(sigs), window, cells_match_classes(slopes))
                 )
             except WindowTooSmall as exc:
                 report.entries.append(

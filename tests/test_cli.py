@@ -157,6 +157,71 @@ def test_verify_over_the_class_limit_is_refused_at_once():
     assert str(10**30 + 3).encode() in r.stderr and str(VERIFY_CLASS_LIMIT).encode() in r.stderr
 
 
+def refused_at_once(*args):
+    """The stderr of a run that must exit 1 on one line with no stdout; it
+    raises TimeoutExpired, and kills the run, if that takes a second."""
+    r = subprocess.run(BASE + list(args), capture_output=True, timeout=1)
+    assert r.returncode == 1 and r.stdout == b"", r.stderr
+    assert r.stderr.startswith(b"pixelwedge: ") and r.stderr.count(b"\n") == 1
+    return r.stderr
+
+
+def test_enumerate_over_the_pixel_limit_is_refused_at_once():
+    from pixelwedge.cli import ENUMERATE_PIXEL_LIMIT
+
+    limit = str(ENUMERATE_PIXEL_LIMIT).encode()
+    # D = 10**30 + 3 classes, each in a (2w+1)**2 window, w = 2 * (10**30 + 5)
+    estimate = (10**30 + 3) * (4 * (10**30 + 5) + 1) ** 2
+    for fmt in ("ascii", "json"):
+        err = refused_at_once("enumerate", "--slope1", "1e30", "--slope2", "-3/1", "--format", fmt)
+        assert str(estimate).encode() in err and limit in err
+    # five classes in a window the user asked for
+    err = refused_at_once("enumerate", "--slope1", "2/1", "--slope2", "-3/1", "--window", "100000")
+    assert str(5 * 200001**2).encode() in err and limit in err
+    # the largest admitted slope text is refused as fast
+    s1, s2 = "9." + "3" * 292 + "7e+300", "-7." + "3" * 291 + "7e-300"
+    assert limit in refused_at_once("enumerate", "--slope1", s1, "--slope2", s2)
+
+
+def test_partition_over_the_piece_limit_is_refused_at_once():
+    from pixelwedge.cli import PARTITION_PIECE_LIMIT
+
+    limit = str(PARTITION_PIECE_LIMIT).encode()
+    d = 10**30 + 3
+    err = refused_at_once("partition", "--slope1", "1e30", "--slope2", "-3/1", "--format", "json")
+    assert str(d).encode() in err and limit in err
+    # svg draws each cell's pieces in the unit squares it crosses: 2 * 3 here
+    err = refused_at_once("partition", "--slope1", "1e30", "--slope2", "-3/1", "--format", "svg")
+    assert str(6 * d).encode() in err and limit in err
+    # D = 1, but the one cell is 1 wide and 10**6 + 1 high: its svg cuts it
+    # at every seam it crosses, while its json is one cell
+    err = refused_at_once("partition", "--slope1", "1/0", "--slope2", "1e6", "--format", "svg")
+    assert str(3 * (10**6 + 3)).encode() in err and limit in err
+    r = subprocess.run(BASE + ["partition", "--slope1", "1/0", "--slope2", "1e6", "--format", "json"],
+                       capture_output=True, timeout=5)
+    assert r.returncode == 0 and len(json.loads(r.stdout)["cells"]) == 1
+
+
+def test_limits_admit_every_pair_with_entries_up_to_five():
+    # every pinned output and every input of the benchmark's cli workload
+    # (entries <= 5, so D <= 50 and the default window <= 40) stays answered
+    from pixelwedge import Slopes
+    from pixelwedge.cli import ENUMERATE_PIXEL_LIMIT, PARTITION_PIECE_LIMIT
+    from pixelwedge.partition import fragment_bound
+    from pixelwedge.shapes import default_window
+    from pixelwedge.verify import coprime_pairs
+
+    pairs = coprime_pairs(5)
+    for a, b in pairs:
+        for c, d in pairs:
+            if a * d != b * c:
+                slopes = Slopes(a, b, c, d)
+                w = default_window(slopes)
+                assert w <= 40 and slopes.count <= 50
+                assert slopes.count * (2 * w + 1) ** 2 <= ENUMERATE_PIXEL_LIMIT
+                assert fragment_bound(slopes) <= PARTITION_PIECE_LIMIT
+
+
 def test_parallel_slopes_exit_code_one():
     r = run("classify", "--slope1", "2/1", "--slope2", "4/2", "--corner", "0,0")
     assert r.returncode == 1

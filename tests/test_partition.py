@@ -15,7 +15,7 @@ from pixelwedge import (
     class_index,
     partition_unit_square,
 )
-from pixelwedge.partition import cell_bases, polygon_area
+from pixelwedge.partition import cell_bases, fragment_bound, polygon_area
 from pixelwedge.verify import coprime_pairs
 
 from conftest import slopes_st
@@ -238,13 +238,18 @@ def test_fragments_equal_fraction_clipper_off_partition():
 
 
 def test_fragment_areas_over_sweep():
-    for slopes in SWEEP_8:
+    # and two one-cell partitions, 1 wide and 8 high, and 10 wide and 1 high
+    for slopes in SWEEP_8 + [Slopes(1, 0, 7, 1), Slopes(0, -1, 1, 9)]:
         total = F(0)
+        pieces = 0
         for cell in partition_unit_square(slopes):
-            area = sum(polygon_area(f) for f in cell_fragments(cell))
+            frags = cell_fragments(cell)
+            area = sum(polygon_area(f) for f in frags)
             assert area == F(1, slopes.count), (slopes, cell.index)
             total += area
+            pieces += len(frags)
         assert total == 1, slopes
+        assert pieces <= fragment_bound(slopes), slopes
 
 
 def test_locate_agrees_with_class_index_over_sweep():

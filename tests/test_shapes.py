@@ -434,7 +434,11 @@ class TestBitmapsAgainstDirectBuild:
         disjoint = changed = derived = 0
         for pair in pairs + large:
             sigs = column_tables(pair)
-            assert _bitmaps(sigs) == direct_bitmaps(sigs), pair
+            out = _bitmaps(sigs)
+            assert out == direct_bitmaps(sigs), pair
+            # one frozenset object per class: the working set never leaks out
+            assert all(type(b) is frozenset for b in out), pair
+            assert len({id(b) for b in out}) == len(sigs), pair
             moves = neighbour_moves(sigs)
             disjoint += moves[0]
             changed += moves[1]

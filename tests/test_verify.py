@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import random
 import subprocess
@@ -18,7 +19,7 @@ from pixelwedge import (
     sample_class_frequencies,
     theorem_sweep,
 )
-from pixelwedge import verify
+from pixelwedge import cli, shapes, verify
 from pixelwedge.digitize import angle_thresholds, digitize_angle_path, is_pixel_center
 from pixelwedge.exact import extended_gcd
 from pixelwedge.partition import cell_bases
@@ -504,6 +505,27 @@ class TestSweep:
         # rotating a single cell changes nothing; every D >= 2 entry fails
         assert {e.expected for e in report.failures} == {2, 3}
         assert all(e.areas_ok == (e.expected == 1) for e in report.entries)
+
+    def test_fingerprint_collision_fails_the_entry(self, monkeypatch, capsys):
+        # the sweep counts classes through class_signatures' distinctness
+        # check; give every class of one pair the same fingerprint
+        real = shapes.class_fingerprint
+
+        def colliding(slopes, alpha, beta, window):
+            if slopes.as_tuple() == (2, 1, -3, 1):
+                return ((0, 0, 0),), (0, 0)
+            return real(slopes, alpha, beta, window)
+
+        monkeypatch.setattr(shapes, "class_fingerprint", colliding)
+        report = theorem_sweep(5)
+        assert report.ok is False
+        [entry] = report.failures
+        assert entry.slopes == (2, 1, -3, 1) and entry.classes == 0
+        assert "not pairwise distinct" in entry.error
+        cli.main(["sweep", "5", "--format", "json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["pass"] is False
+        assert [f["slopes"] for f in payload["failures"]] == [[2, 1, -3, 1]]
 
     def test_cell_moved_by_an_edge_fails(self, monkeypatch):
         # every pair of the D <= 6 sweep: moving one cell's base by e1 = (b, a)/D
