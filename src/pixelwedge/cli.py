@@ -2,7 +2,8 @@
 
 Every run is reproducible from its flags alone: no config files, exact
 rational inputs, deterministic output bytes. Exit codes: 0 success, 1 domain
-error (parallel slopes, pixel-center hits, ...), 2 usage error.
+error (parallel slopes, pixel-center hits, work over a limit, ...) or a failing
+sweep, whose report is still written, 2 usage error.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .digitize import AngleSpec, Slopes, digitize_angle_path
+from .digitize import AngleSpec, Slopes, digitize_angle_path, path_vertex_bound
 from .errors import DomainError, UnsupportedFormat
 from .exact import check_rational_text, format_rational, parse_rational
 from .partition import fragment_bound, partition_unit_square
@@ -26,11 +27,14 @@ SWEEP_PAIR_LIMIT = 1_000_000
 # `verify` keeps a count per class, in every block; this admits D <= 10**6 (8 MB a list)
 VERIFY_CLASS_LIMIT = 1_000_000
 # `enumerate` builds up to D*(2w+1)**2 bitmap pixels, about half of them at worst;
-# at 10**7 the json answer takes ~6 s and ~400 MB on 2 CPUs
+# at 10**7 the json answer takes ~6 s and ~400 MB on 2 CPUs. `render` draws one
+# (2w+1)**2 box, and is held to the same limit
 ENUMERATE_PIXEL_LIMIT = 10_000_000
 # `partition` writes D cells (json) or every cell's pieces (svg, see fragment_bound);
 # at 10**5 either takes under ~10 s on 2 CPUs
 PARTITION_PIECE_LIMIT = 100_000
+# `digitize` traces up to `path_vertex_bound` vertices; 10**5 take ~5 s on 2 CPUs
+DIGITIZE_VERTEX_LIMIT = 100_000
 
 
 def _bounded(text: str) -> str:
@@ -144,10 +148,19 @@ def _merge_flag_values(argv: list[str]) -> list[str]:
     return out
 
 
-def _run(args) -> bytes:
+def _within(limit: int, estimate: int, claim: str) -> None:
+    """Refuse, before any work, a run that claims an estimate over the limit."""
+    if estimate > limit:
+        raise DomainError(f"{claim}, over the limit of {limit}")
+
+
+def _run(args) -> tuple[bytes, int]:
+    """The answer's bytes and the exit code to return once they are written."""
     if args.command == "digitize":
-        path = digitize_angle_path(_spec(args), args.window)
-        return json_line(path)
+        spec = _spec(args)
+        vertices = path_vertex_bound(spec.slopes, args.window)
+        _within(DIGITIZE_VERTEX_LIMIT, vertices, f"digitize would trace up to {vertices} path vertices")
+        return json_line(digitize_angle_path(spec, args.window)), 0
 
     if args.command == "classify":
         spec = _spec(args)
@@ -165,66 +178,55 @@ def _run(args) -> bytes:
                 "index": j,
                 "classes": d,
             }
-            return json_line(payload)
-        return f"class {j} of {d}\n".encode()
+            return json_line(payload), 0
+        return f"class {j} of {d}\n".encode(), 0
 
     if args.command == "enumerate":
         slopes = _slopes(args)
         w = default_window(slopes) if args.window is None else args.window
         pixels = slopes.count * (2 * w + 1) ** 2
-        if pixels > ENUMERATE_PIXEL_LIMIT:
-            raise DomainError(
-                f"enumerate would build up to {pixels} bitmap pixels, "
-                f"over the limit of {ENUMERATE_PIXEL_LIMIT}"
-            )
+        _within(ENUMERATE_PIXEL_LIMIT, pixels, f"enumerate would build up to {pixels} bitmap pixels")
         shapes = enumerate_shapes(slopes, w)
         if args.format == "json":
-            return json_line([s.to_json_dict() for s in shapes])
+            return json_line([s.to_json_dict() for s in shapes]), 0
         blocks = []
         for s in shapes:
             art = render_pixelset(s.bitmap, RenderOptions(format="ascii")).decode()
             blocks.append(f"class {s.index} of {len(shapes)}:\n{art}")
-        return "\n".join(blocks).encode()
+        return "\n".join(blocks).encode(), 0
 
     if args.command == "partition":
         slopes = _slopes(args)
         pieces = slopes.count if args.format == "json" else fragment_bound(slopes)
-        if pieces > PARTITION_PIECE_LIMIT:
-            raise DomainError(
-                f"partition --format {args.format} would write up to {pieces} polygons, "
-                f"over the limit of {PARTITION_PIECE_LIMIT}"
-            )
+        _within(PARTITION_PIECE_LIMIT, pieces,
+                f"partition --format {args.format} would write up to {pieces} polygons")
         cells = partition_unit_square(slopes)
-        return render_partition(cells, RenderOptions(format=args.format, scale=512))
+        return render_partition(cells, RenderOptions(format=args.format, scale=512)), 0
 
     if args.command == "verify":
         slopes = _slopes(args)
-        if slopes.count > VERIFY_CLASS_LIMIT:
-            raise DomainError(
-                f"verify would count {slopes.count} shape classes, "
-                f"over the limit of {VERIFY_CLASS_LIMIT}"
-            )
+        _within(VERIFY_CLASS_LIMIT, slopes.count, f"verify would count {slopes.count} shape classes")
         hist = sample_class_frequencies(slopes, args.samples, args.seed)
         if args.format == "json":
-            return json_line(hist.to_json_dict())
-        return (hist.table() + "\n").encode()
+            return json_line(hist.to_json_dict()), 0
+        return (hist.table() + "\n").encode(), 0
 
     if args.command == "sweep":
         # past 10**6 the count (monotone in N) stops at 10**6 and is a lower bound
         pairs = sweep_pair_estimate(min(args.max_shapes, 10**6))
-        if pairs > SWEEP_PAIR_LIMIT:
-            raise DomainError(
-                f"sweep {args.max_shapes} would scan at least {pairs} slope pairs, "
-                f"over the limit of {SWEEP_PAIR_LIMIT}"
-            )
+        _within(SWEEP_PAIR_LIMIT, pairs, f"sweep {args.max_shapes} would scan at least {pairs} slope pairs")
         report = theorem_sweep(args.max_shapes)
-        if args.format == "json":
-            return json_line(report.to_json_dict())
-        return (report.table() + "\n").encode()
+        if args.format == "json":  # a failing sweep writes its report, then exits 1
+            return json_line(report.to_json_dict()), int(not report.ok)
+        return (report.table() + "\n").encode(), int(not report.ok)
 
     if args.command == "render":
-        shape = shape_of_spec(_spec(args), args.window)
-        return render_pixelset(shape.bitmap, RenderOptions(format=args.format))
+        spec = _spec(args)
+        w = default_window(spec.slopes) if args.window is None else args.window
+        pixels = (2 * w + 1) ** 2
+        _within(ENUMERATE_PIXEL_LIMIT, pixels, f"render would draw up to {pixels} box pixels")
+        shape = shape_of_spec(spec, w)
+        return render_pixelset(shape.bitmap, RenderOptions(format=args.format)), 0
 
     raise AssertionError(args.command)
 
@@ -237,7 +239,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse reports usage errors itself
         return int(exc.code or 0)
     try:
-        data = _run(args)
+        data, code = _run(args)
     except UnsupportedFormat as exc:
         print(f"pixelwedge: {exc}", file=sys.stderr)
         return 2
@@ -257,7 +259,7 @@ def main(argv: list[str] | None = None) -> int:
     else:
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()
-    return 0
+    return code
 
 
 if __name__ == "__main__":

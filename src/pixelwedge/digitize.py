@@ -161,7 +161,9 @@ def window_columns(
 ) -> list[tuple[int, int, int]]:
     """Member rows (m, lo, hi), inclusive, of the columns of the
     (2*window+1)^2 box centred on `anchor`, in increasing m, for integer
-    thresholds alpha and beta; empty columns are left out.
+    thresholds alpha and beta; empty columns are left out. The pairs may be
+    parallel: (c, d, beta) = (-a, -b, -alpha) gives the degenerate strip
+    a*m - b*n == alpha, the pixels whose centres lie on that line.
     """
     am, an = anchor
     bottom, top = an - window, an + window
@@ -317,6 +319,18 @@ def _odd_prime_avoiding(values: list[int]) -> int:
         p += 2
 
 
+def _ray_steps(u: tuple[int, int], extent: int) -> int:
+    """Whole steps of u that carry a ray past the box of half-width `extent`."""
+    return (extent + 3) // max(abs(u[0]), abs(u[1])) + 1
+
+
+def path_vertex_bound(slopes: Slopes, extent: int) -> int:
+    """At least the vertex count of `digitize_angle_path`: a ray runs under
+    `_ray_steps` + 1 steps of u, a step crosses at most |ux| + |uy|
+    half-integer lines, and each crossing adds one vertex to the first."""
+    return 1 + sum((_ray_steps(u, extent) + 1) * (abs(u[0]) + abs(u[1])) for u in slopes.ray_directions())
+
+
 def digitize_angle_path(spec: AngleSpec, extent: int) -> GridPath:
     """Digitize the angular path: in along one boundary ray, around the
     corner, out along the other, swept far enough to leave a box of
@@ -334,7 +348,6 @@ def digitize_angle_path(spec: AngleSpec, extent: int) -> GridPath:
     cx, cy = spec.corner
 
     def endpoint(u):
-        steps = (extent + 3) // max(abs(u[0]), abs(u[1])) + 1
         # Overshoot the integer step count by 1/p for an odd prime p dividing
         # neither the nonzero ray components nor the corner denominators: the
         # prime survives into each moving coordinate's denominator, so no
@@ -342,7 +355,7 @@ def digitize_angle_path(spec: AngleSpec, extent: int) -> GridPath:
         p = _odd_prime_avoiding(
             [v for v in u if v] + [cx.denominator, cy.denominator]
         )
-        t = steps + Fraction(1, p)
+        t = _ray_steps(u, extent) + Fraction(1, p)
         return (cx + t * u[0], cy + t * u[1])
 
     return digitize_polyline([endpoint(u_in), (cx, cy), endpoint(u_out)])

@@ -158,8 +158,7 @@ def _bitmaps(sigs: list[Columns]) -> list[PixelSet]:
     also for disjoint runs, and the class is frozen from it, one table copy
     that reuses the stored hashes. A table with another column list than the
     one before it is built from its runs, and the working set is taken from
-    it only once a class follows with the same column list, so a lone table
-    costs no copy.
+    it only once a class follows with the same column list.
     """
     width = 1 + max(sig[-1][0] for sig in sigs)
     height = 1 + max(hi for sig in sigs for _, _, hi in sig)
@@ -207,7 +206,7 @@ def shape_of_spec(spec: AngleSpec, window: int | None = None) -> ShapeClass:
         raise ValueError("window must be >= 1")
     alpha, beta = corner_ceilings(spec)
     sig, corner = class_fingerprint(slopes, alpha, beta, w)
-    bitmap = _bitmaps([sig])[0] if sig else frozenset()
+    bitmap = frozenset((m, n) for m, lo, hi in sig for n in range(lo, hi + 1))
     return ShapeClass(slopes.as_tuple(), class_of_params(slopes, alpha, beta), w, bitmap, corner)
 
 

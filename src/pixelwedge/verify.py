@@ -245,28 +245,16 @@ def cells_match_classes(slopes: Slopes) -> bool:
 # --- the center-membership property ---------------------------------------------
 
 
-def _integer_tie_in_window(a, b, alpha, m_range, n_range) -> bool:
-    """Does the line a*m - b*n = alpha pass through a window pixel center?"""
-    if alpha.denominator != 1:
-        return False
-    t = int(alpha)
-    for m in m_range:
-        v = a * m - t
-        if b == 0:
-            if v == 0:
-                return True
-        elif v % b == 0 and n_range[0] <= v // b <= n_range[1]:
-            return True
-    return False
-
-
 def hobby_region_check(spec: AngleSpec, window: int) -> bool:
     """Compare the digitized angular path against center membership.
 
     For every window column the multiset-parity of the digitized path's
     horizontal edges must sit exactly at the heights where pixel-center
     membership flips; that is the boundary form of "a pixel belongs to the
-    digitized region iff its center lies in the undigitized region".
+    digitized region iff its center lies in the undigitized region". Raises
+    PixelCenterHit when the corner is a pixel center, or when a boundary
+    line has one within a pixel of the window: `window_columns` finds it as
+    a member of the degenerate strip t <= p*m - q*n <= t.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
@@ -275,12 +263,9 @@ def hobby_region_check(spec: AngleSpec, window: int) -> bool:
     alpha, beta = angle_thresholds(spec)
     m0, n0 = math.floor(spec.corner[0]), math.floor(spec.corner[1])
     w = window
-    m_range = range(m0 - w - 1, m0 + w + 2)
-    n_range = (n0 - w - 1, n0 + w + 1)
-    if _integer_tie_in_window(spec.a, spec.b, alpha, m_range, n_range) or (
-        _integer_tie_in_window(spec.c, spec.d, beta, m_range, n_range)
-    ):
-        raise PixelCenterHit("a boundary line passes through a window pixel center")
+    for p, q, t in ((spec.a, spec.b, alpha), (spec.c, spec.d, beta)):
+        if t.denominator == 1 and window_columns(p, q, -p, -q, int(t), -int(t), (m0, n0), w + 1):
+            raise PixelCenterHit("a boundary line passes through a window pixel center")
 
     path = digitize_angle_path(spec, w + 4)
 

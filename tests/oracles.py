@@ -25,6 +25,23 @@ def column_interval(a, b, c, d, alpha, beta, m):
     return lo, hi
 
 
+def integer_tie_in_window(a, b, alpha, m_range, n_range):
+    """Does the line a*m - b*n = alpha pass through the center of a pixel
+    with m in m_range and n in the inclusive pair n_range? One division per
+    column."""
+    if alpha.denominator != 1:
+        return False
+    t = int(alpha)
+    for m in m_range:
+        v = a * m - t
+        if b == 0:
+            if v == 0:
+                return True
+        elif v % b == 0 and n_range[0] <= v // b <= n_range[1]:
+            return True
+    return False
+
+
 def direct_bitmaps(sigs):
     """Pixel sets of canonical column tables (column, row_lo, row_hi), each
     built from its own runs alone."""

@@ -202,11 +202,43 @@ def test_partition_over_the_piece_limit_is_refused_at_once():
     assert r.returncode == 0 and len(json.loads(r.stdout)["cells"]) == 1
 
 
+def test_render_over_the_pixel_limit_is_refused_at_once():
+    from pixelwedge.cli import ENUMERATE_PIXEL_LIMIT
+
+    limit = str(ENUMERATE_PIXEL_LIMIT).encode()
+    # one (2w+1)**2 box at the default window w = 2 * (10**30 + 5)
+    err = refused_at_once("render", "--slope1", "1e30", "--slope2", "-3/1", "--corner", "0.1,0.7")
+    assert str((4 * (10**30 + 5) + 1) ** 2).encode() in err and limit in err
+    for fmt in ("svg", "json"):
+        err = refused_at_once("render", "--slope1", "2/1", "--slope2", "-3/1", "--corner", "0.1,0.7",
+                              "--window", "3000", "--format", fmt)
+        assert str(6001**2).encode() in err and limit in err
+
+
+def test_digitize_over_the_vertex_limit_is_refused_at_once():
+    from pixelwedge.cli import DIGITIZE_VERTEX_LIMIT
+
+    limit = str(DIGITIZE_VERTEX_LIMIT).encode()
+    # rays (1, 10**30) and (1, -3): ((w+3)//10**30 + 2) * (10**30 + 1)
+    # + ((w+3)//3 + 2) * 4 + 1 vertices at most
+    err = refused_at_once("digitize", "--slope1", "1e30", "--slope2", "-3/1", "--corner", "0.1,0.7")
+    assert str(2 * 10**30 + 23).encode() in err and limit in err
+    err = refused_at_once("digitize", "--slope1", "1e30", "--slope2", "-3/1", "--corner", "0.1,0.7",
+                          "--window", "1")
+    assert str(2 * 10**30 + 15).encode() in err and limit in err
+    # rays (1, 2) and (1, -3) of 2/1, -3/1: (80003//2 + 2) * 3 + (80003//3 + 2) * 4 + 1
+    err = refused_at_once("digitize", "--slope1", "2/1", "--slope2", "-3/1", "--corner", "0.1,0.7",
+                          "--window", "80000")
+    assert str(226686).encode() in err and limit in err
+
+
 def test_limits_admit_every_pair_with_entries_up_to_five():
     # every pinned output and every input of the benchmark's cli workload
-    # (entries <= 5, so D <= 50 and the default window <= 40) stays answered
+    # (entries <= 5, so D <= 50 and the default window <= 40; digitize at
+    # window 6, and 8 by default, which covers 6) stays answered
     from pixelwedge import Slopes
-    from pixelwedge.cli import ENUMERATE_PIXEL_LIMIT, PARTITION_PIECE_LIMIT
+    from pixelwedge.cli import DIGITIZE_VERTEX_LIMIT, ENUMERATE_PIXEL_LIMIT, PARTITION_PIECE_LIMIT
+    from pixelwedge.digitize import path_vertex_bound
     from pixelwedge.partition import fragment_bound
     from pixelwedge.shapes import default_window
     from pixelwedge.verify import coprime_pairs
@@ -220,6 +252,8 @@ def test_limits_admit_every_pair_with_entries_up_to_five():
                 assert w <= 40 and slopes.count <= 50
                 assert slopes.count * (2 * w + 1) ** 2 <= ENUMERATE_PIXEL_LIMIT
                 assert fragment_bound(slopes) <= PARTITION_PIECE_LIMIT
+                assert (2 * w + 1) ** 2 <= ENUMERATE_PIXEL_LIMIT  # render
+                assert path_vertex_bound(slopes, 8) <= DIGITIZE_VERTEX_LIMIT
 
 
 def test_parallel_slopes_exit_code_one():

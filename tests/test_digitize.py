@@ -15,13 +15,14 @@ from pixelwedge import (
     Slopes,
     boundary_loops,
     cells_enclosed,
+    digitize_angle_path,
     digitize_polyline,
     digitize_segment,
     pixel_in_angle,
     round_nearest,
     trace_region_boundary,
 )
-from pixelwedge.digitize import region_pixels, window_columns
+from pixelwedge.digitize import path_vertex_bound, region_pixels, window_columns
 from pixelwedge.exact import HALF, extended_gcd
 from pixelwedge.shapes import class_of_params
 
@@ -230,6 +231,18 @@ class TestWindowScan:
                         clamped_interval_scan(a, b, c, d, alpha, beta, anchor, window)
                     ), (a, b, c, d, alpha, beta, anchor, window)
 
+    def test_degenerate_strip_matches_column_interval_scan(self):
+        # the slope pair (p, q), (-p, -q) bounds the line p*m - q*n = t on
+        # both sides; the Hobby check finds pixel centres on it this way
+        rng = random.Random(95)
+        for p, q in self.PAIRS:
+            for window in range(1, 10):
+                t = rng.randint(-15, 15)
+                anchor = (rng.randint(-6, 6), rng.randint(-6, 6))
+                assert window_columns(p, q, -p, -q, t, -t, anchor, window) == (
+                    clamped_interval_scan(p, q, -p, -q, t, -t, anchor, window)
+                ), (p, q, t, anchor, window)
+
     def test_region_pixels_matches_center_membership(self):
         rng = random.Random(94)
         pairs = [(a, b, c, d) for a, b in self.PAIRS for c, d in self.PAIRS if a * d - b * c]
@@ -242,6 +255,31 @@ class TestWindowScan:
             box = [(m, n) for m in range(am - window, am + window + 1)
                    for n in range(an - window, an + window + 1)]
             assert region_pixels(spec, window) == {px for px in box if pixel_in_angle(px, spec)}
+
+
+class TestAnglePath:
+    def test_vertex_bound_holds_and_is_nearly_reached(self):
+        rng = random.Random(96)
+        pairs = [(p, q) for p in range(-6, 7) for q in range(-6, 7) if math.gcd(p, q) == 1]
+        worst = 0.0
+        done = 0
+        while done < 300:
+            (a, b), (c, d) = rng.choice(pairs), rng.choice(pairs)
+            if a * d == b * c:
+                continue
+            den = rng.choice((3, 10, 1000))
+            spec = AngleSpec(a, b, c, d, (F(rng.randint(-9 * den, 9 * den), den) + F(1, 2017),
+                                          F(rng.randint(-9 * den, 9 * den), den)))
+            extent = rng.randint(1, 40)
+            try:
+                path = digitize_angle_path(spec, extent)
+            except (PixelCenterHit, HalfIntegerTie):
+                continue
+            bound = path_vertex_bound(spec.slopes, extent)
+            assert len(path) <= bound, (spec, extent)
+            worst = max(worst, len(path) / bound)
+            done += 1
+        assert worst > 0.95, worst
 
 
 class TestBoundaryTrace:

@@ -446,6 +446,26 @@ class TestBitmapsAgainstDirectBuild:
         # every branch of the derivation ran, many times
         assert disjoint > 100 and changed > 1000 and derived > 10000, (disjoint, changed, derived)
 
+    def test_shape_of_spec_is_its_enumerated_class(self):
+        # shape_of_spec builds its one table directly, enumerate_shapes
+        # through _bitmaps; at enumerate's own window both give one class
+        rng = random.Random(13)
+        pairs = coprime_pairs(3)
+        checked = 0
+        while checked < 150:
+            a, b = rng.choice(pairs)
+            c, d = rng.choice(pairs)
+            if a * d == b * c:
+                continue
+            shapes = enumerate_shapes(Slopes(a, b, c, d))
+            for _ in range(4):
+                den = rng.choice((2, 3, 10, 1000))
+                corner = (F(rng.randint(-5 * den, 5 * den), den), F(rng.randint(-5 * den, 5 * den), den))
+                spec = AngleSpec(a, b, c, d, corner)
+                shape = shape_of_spec(spec, shapes[0].window)
+                assert shape == shapes[class_index(spec)], spec
+            checked += 1
+
 
 def column_top_diffs(bitmap):
     tops = {}

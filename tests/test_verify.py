@@ -26,7 +26,7 @@ from pixelwedge.partition import cell_bases
 from pixelwedge.shapes import canonicalize, class_signatures
 from pixelwedge.verify import chi2_q999, coprime_pairs, sweep_pair_estimate
 
-from oracles import column_interval
+from oracles import column_interval, integer_tie_in_window
 
 F = Fraction
 
@@ -334,9 +334,9 @@ class TestExactAreas:
 
 
 def interval_hobby_check(spec, window):
-    """hobby_region_check with its earlier flip test: one unclamped
-    column_interval per window column, each end a flip only inside the
-    window."""
+    """hobby_region_check with its earlier tie and flip tests: a division
+    per column for each boundary line, and one unclamped column_interval per
+    window column, each end a flip only inside the window."""
     if is_pixel_center(spec.corner):
         raise PixelCenterHit("corner is a pixel center")
     alpha, beta = angle_thresholds(spec)
@@ -344,8 +344,8 @@ def interval_hobby_check(spec, window):
     w = window
     m_range = range(m0 - w - 1, m0 + w + 2)
     n_range = (n0 - w - 1, n0 + w + 1)
-    if verify._integer_tie_in_window(spec.a, spec.b, alpha, m_range, n_range) or (
-        verify._integer_tie_in_window(spec.c, spec.d, beta, m_range, n_range)
+    if integer_tie_in_window(spec.a, spec.b, alpha, m_range, n_range) or (
+        integer_tie_in_window(spec.c, spec.d, beta, m_range, n_range)
     ):
         raise PixelCenterHit("a boundary line passes through a window pixel center")
     path = digitize_angle_path(spec, w + 4)
@@ -442,6 +442,14 @@ class TestHobbyProperty:
         with pytest.raises(PixelCenterHit):
             hobby_region_check(spec, 4)
 
+    def test_tie_one_pixel_past_the_window_is_refused(self):
+        # m + 4n = 1 holds at the centres of (1, 0) and (-3, 1), two columns
+        # either side of the corner pixel (-1, 0): outside window 1, inside
+        # the box one pixel past it
+        spec = AngleSpec(1, -4, 1, 0, (F(-1, 10), F(9, 10)))
+        with pytest.raises(PixelCenterHit, match="boundary line passes through a window pixel center"):
+            hobby_region_check(spec, 1)
+
     def test_randomised(self):
         rng = random.Random(2024)
         pairs = coprime_pairs(4)
@@ -522,7 +530,8 @@ class TestSweep:
         [entry] = report.failures
         assert entry.slopes == (2, 1, -3, 1) and entry.classes == 0
         assert "not pairwise distinct" in entry.error
-        cli.main(["sweep", "5", "--format", "json"])
+        # the report is written in full, and the exit code says it failed
+        assert cli.main(["sweep", "5", "--format", "json"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["pass"] is False
         assert [f["slopes"] for f in payload["failures"]] == [[2, 1, -3, 1]]
