@@ -2,11 +2,13 @@
 
 Corner points (x0, y0) with equal shape class fill a parallelogram lattice;
 reduced mod 1 the D parallelograms tile the unit square, each with area 1/D.
-Cells are computed exactly; a locator answers point queries with integer
-arithmetic and refuses points that sit exactly on a cell boundary.
+Cells are computed exactly and clipped to the unit square on integers; a
+locator finds a point's cell on that lattice with integer arithmetic and
+refuses points that sit exactly on a cell boundary.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -168,10 +170,6 @@ def fragment_bound(slopes: Slopes) -> int:
     return D * ((abs(b) + abs(d)) // D + 2) * ((abs(a) + abs(c)) // D + 2)
 
 
-def _as_fractions(frag, s: int) -> list[Point]:
-    return [(Fraction(x, s), Fraction(y, s)) for x, y in frag]
-
-
 def cell_fragments(cell: Parallelogram) -> list[list[Point]]:
     """Mod-1 fragments of a cell: integer translates clipped to [0,1]^2.
 
@@ -179,59 +177,47 @@ def cell_fragments(cell: Parallelogram) -> list[list[Point]]:
     areas sum to the cell area.
     """
     s, frags = _int_fragments(cell)
-    return [_as_fractions(frag, s) for frag in frags]
+    return [[(Fraction(x, s), Fraction(y, s)) for x, y in frag] for frag in frags]
 
 
 class PartitionLocator:
-    """Exact point-in-cell queries over the mod-1 fragments.
+    """Point-in-cell queries on the lattice the cells tile.
 
-    Edge lines come from the integer fragments with coprime integer
-    coefficients, so each query runs on plain integers. Points exactly on any
-    fragment edge raise PartitionBoundary (this includes the unit-square seam
-    for wrapped cells).
+    Every cell is a translate of the parallelogram spanned by e1 = (b, a)/D
+    and e2 = (-d, -c)/D, and Z^2 lies in the lattice those edges span, so the
+    translates of cell 0 by that lattice tile the plane. A query finds its
+    tile from the integer parts (k, l) of its coordinates in the (e1, e2)
+    frame, and names the cell at that tile's base mod 1, on plain integers
+    and in time independent of D. Points on a tile edge or on the
+    unit-square seam x = 0 or y = 0 raise PartitionBoundary.
     """
 
     def __init__(self, slopes: Slopes):
         self.slopes = slopes
         self.cells = partition_unit_square(slopes)
-        self.fragments = []
-        self._edges = []
-        for cell in self.cells:
-            s, frags = _int_fragments(cell)
-            for frag in frags:
-                self.fragments.append((cell.index, _as_fractions(frag, s)))
-                rows = []
-                for (vx, vy), (wx, wy) in zip(frag, frag[1:] + frag[:1]):
-                    # (ex, ey, cross(e, v)) of the edge in unit-square coordinates, times s^2
-                    ex, ey = (wx - vx) * s, (wy - vy) * s
-                    cc = (wy - vy) * vx - (wx - vx) * vy
-                    g = math.gcd(ex, ey, cc)
-                    rows.append((ex // g, ey // g, cc // g))
-                self._edges.append((cell.index, rows))
+        bases = [(x, y) for _, x, y in cell_bases(slopes)]
+        self._index = {base: j for j, base in enumerate(bases)}
+        self._base0 = bases[0]
+
+    @functools.cached_property
+    def fragments(self) -> list[tuple[int, list[Point]]]:
+        """(cell index, fragment) for every cell's `cell_fragments`, computed
+        on first read."""
+        return [(cell.index, frag) for cell in self.cells for frag in cell_fragments(cell)]
 
     def locate(self, x, y) -> int:
         """Class index of the cell whose interior contains (x mod 1, y mod 1)."""
         px, py = Fraction(x) % 1, Fraction(y) % 1
         q = math.lcm(px.denominator, py.denominator)
-        ix, iy = int(px * q), int(py * q)
-        touched = False
-        for idx, rows in self._edges:
-            outside = False
-            grazing = False
-            for ex, ey, cc in rows:
-                # sign of cross(edge, p - v), scaled by a positive factor
-                s = ex * iy - ey * ix + cc * q
-                if s < 0:
-                    outside = True
-                    break
-                if s == 0:
-                    grazing = True
-            if outside:
-                continue
-            if grazing:
-                touched = True
-                continue
-            return idx
-        if touched:
+        a, b, c, d = self.slopes.as_tuple()
+        n = 2 * self.slopes.count
+        sign = 1 if self.slopes.det > 0 else -1
+        x0, y0 = self._base0
+        # p - base 0 is (vx, vy)/(nq); its (e1, e2) coordinates are k + rk/(nq), l + rl/(nq)
+        vx = n * px.numerator * (q // px.denominator) - q * x0
+        vy = n * py.numerator * (q // py.denominator) - q * y0
+        k, rk = divmod(sign * (d * vy - c * vx), n * q)
+        l, rl = divmod(sign * (b * vy - a * vx), n * q)
+        if not (px and py and rk and rl):
             raise PartitionBoundary(f"({px}, {py}) lies on a cell boundary")
-        raise RuntimeError("partition does not cover the unit square (bug)")
+        return self._index[(x0 + 2 * (k * b - l * d)) % n, (y0 + 2 * (k * a - l * c)) % n]

@@ -86,15 +86,23 @@ def render_pixelset(ps, opts: RenderOptions) -> bytes:
 
 
 def parse_pbm(data: bytes) -> frozenset:
-    """Read plain-P1 PBM back into a pixel set (round-trip of render_pixelset)."""
+    """Read plain-P1 PBM back into a pixel set (round-trip of render_pixelset).
+
+    A truncated header, a width or height below 1, a bit other than 0 or 1,
+    or a wrong bit count raises ValueError.
+    """
     tokens = []
     for line in data.decode().splitlines():
         line = line.split("#", 1)[0]
         tokens.extend(line.split())
-    if not tokens or tokens[0] != "P1":
+    if len(tokens) < 3 or tokens[0] != "P1":
         raise ValueError("not a plain PBM stream")
     width, height = int(tokens[1]), int(tokens[2])
+    if width < 1 or height < 1:
+        raise ValueError("PBM width and height must be at least 1")
     bits = tokens[3:]
+    if not set(bits) <= {"0", "1"}:
+        raise ValueError("PBM bits must be 0 or 1")
     if len(bits) != width * height:
         raise ValueError("PBM bit count mismatch")
     out = set()

@@ -1,5 +1,9 @@
 """Reference implementations that tests compare the library against."""
 import math
+from fractions import Fraction
+
+from pixelwedge.errors import PartitionBoundary
+from pixelwedge.partition import _int_fragments, partition_unit_square
 
 
 def column_interval(a, b, c, d, alpha, beta, m):
@@ -46,3 +50,58 @@ def direct_bitmaps(sigs):
     """Pixel sets of canonical column tables (column, row_lo, row_hi), each
     built from its own runs alone."""
     return [frozenset((m, n) for m, lo, hi in sig for n in range(lo, hi + 1)) for sig in sigs]
+
+
+class FragmentLocator:
+    """Exact point-in-cell queries over the mod-1 fragments.
+
+    Edge lines come from the integer fragments with coprime integer
+    coefficients, so each query runs on plain integers. Points exactly on any
+    fragment edge raise PartitionBoundary (this includes the unit-square seam
+    for wrapped cells).
+    """
+
+    def __init__(self, slopes):
+        self.slopes = slopes
+        self.cells = partition_unit_square(slopes)
+        self.fragments = []
+        self._edges = []
+        for cell in self.cells:
+            s, frags = _int_fragments(cell)
+            for frag in frags:
+                self.fragments.append((cell.index, [(Fraction(x, s), Fraction(y, s)) for x, y in frag]))
+                rows = []
+                for (vx, vy), (wx, wy) in zip(frag, frag[1:] + frag[:1]):
+                    # (ex, ey, cross(e, v)) of the edge in unit-square coordinates, times s^2
+                    ex, ey = (wx - vx) * s, (wy - vy) * s
+                    cc = (wy - vy) * vx - (wx - vx) * vy
+                    g = math.gcd(ex, ey, cc)
+                    rows.append((ex // g, ey // g, cc // g))
+                self._edges.append((cell.index, rows))
+
+    def locate(self, x, y) -> int:
+        """Class index of the cell whose interior contains (x mod 1, y mod 1)."""
+        px, py = Fraction(x) % 1, Fraction(y) % 1
+        q = math.lcm(px.denominator, py.denominator)
+        ix, iy = int(px * q), int(py * q)
+        touched = False
+        for idx, rows in self._edges:
+            outside = False
+            grazing = False
+            for ex, ey, cc in rows:
+                # sign of cross(edge, p - v), scaled by a positive factor
+                s = ex * iy - ey * ix + cc * q
+                if s < 0:
+                    outside = True
+                    break
+                if s == 0:
+                    grazing = True
+            if outside:
+                continue
+            if grazing:
+                touched = True
+                continue
+            return idx
+        if touched:
+            raise PartitionBoundary(f"({px}, {py}) lies on a cell boundary")
+        raise RuntimeError("partition does not cover the unit square (bug)")

@@ -19,6 +19,7 @@ from pixelwedge.partition import cell_bases, fragment_bound, polygon_area
 from pixelwedge.verify import coprime_pairs
 
 from conftest import slopes_st
+from oracles import FragmentLocator
 
 F = Fraction
 
@@ -83,19 +84,22 @@ def test_fragments_tile_the_unit_square(slopes):
 
 
 def test_interior_points_locate_uniquely():
-    # rational grid sampling: each point strictly inside exactly one fragment
+    # rational grid sampling: each point strictly inside exactly one oracle
+    # fragment, and the library locates it in that fragment's cell
+    oracle = FragmentLocator(P_SLOPES)
     loc = PartitionLocator(P_SLOPES)
     for i in range(23):
         for j in range(23):
             x = F(i, 23) + F(1, 1013)
             y = F(j, 23) + F(1, 1019)
-            hits = 0
-            for _, rows in loc._edges:
+            hits = []
+            for idx, rows in oracle._edges:
                 q = 1013 * 1019 * 23
                 ix, iy = int(x * q), int(y * q)
                 if all(ex * iy - ey * ix + cc * q > 0 for ex, ey, cc in rows):
-                    hits += 1
-            assert hits == 1, (x, y)
+                    hits.append(idx)
+            assert len(hits) == 1, (x, y)
+            assert loc.locate(x, y) == hits[0], (x, y)
 
 
 def test_locate_agrees_with_class_index():
@@ -266,15 +270,77 @@ def test_locate_agrees_with_class_index_over_sweep():
 def test_offset_grid_hits_exactly_one_fragment_over_sweep():
     # grid points i/5 + 1/1013, j/5 + 1/1019 lie on no edge line (the primes
     # divide no cell denominator), so each must sit strictly inside exactly one
-    # fragment: the "does not cover" RuntimeError in locate cannot be reached
+    # oracle fragment: the oracle's "does not cover" RuntimeError cannot be
+    # reached, and the library must name that fragment's cell
     q = 5 * 1013 * 1019
     grid = [(i * 1013 * 1019 + 5 * 1019, j * 1013 * 1019 + 5 * 1013) for i in range(5) for j in range(5)]
     for slopes in SWEEP_8:
+        oracle = FragmentLocator(slopes)
         loc = PartitionLocator(slopes)
         for ix, iy in grid:
             hits = [
-                idx for idx, rows in loc._edges
+                idx for idx, rows in oracle._edges
                 if all(ex * iy - ey * ix + cc * q > 0 for ex, ey, cc in rows)
             ]
             assert len(hits) == 1, (slopes, ix, iy, hits)
             assert loc.locate(F(ix, q), F(iy, q)) == hits[0]
+
+
+# --- the lattice locator against the fragment locator it replaced ---
+
+
+def _answer(locator, x, y):
+    """The located class, or the PartitionBoundary message."""
+    try:
+        return locator.locate(x, y)
+    except PartitionBoundary as e:
+        return str(e)
+
+
+def _differential_points(slopes, rng):
+    """(1/2, 1/2); the grid i/(2D), j/(4D), sampled down to 3000 points at
+    large D; dyadic points, decimals shifted by integers and points on the
+    seams x = 0 and y = 0; and each cell's base and points along both of its
+    edges."""
+    D = slopes.count
+    ks = range(8 * D * D)
+    if len(ks) > 3000:
+        ks = rng.sample(ks, 3000)
+    pts = [(F(1, 2), F(1, 2))] + [(F(k // (4 * D), 2 * D), F(k % (4 * D), 4 * D)) for k in ks]
+    for _ in range(10):
+        dyadic = [F(rng.getrandbits(10), 1 << 10) for _ in range(3)]
+        decimal = [F(rng.randrange(1000), 1000) + rng.randint(-3, 3) for _ in range(2)]
+        pts.append((dyadic[0], dyadic[1]))
+        pts.append((decimal[0], decimal[1]))
+        pts.append((rng.randint(-2, 2), dyadic[2]))
+        pts.append((dyadic[2], rng.randint(-2, 2)))
+    for cell in partition_unit_square(slopes):
+        (bx, by), e1, e2 = cell.base, cell.edge1, cell.edge2
+        pts.append((bx, by))
+        for t in (F(1, 3), F(1, 2), F(5, 7)):
+            pts.append((bx + t * e1[0], by + t * e1[1]))
+            pts.append((bx + t * e2[0], by + t * e2[1]))
+    return pts
+
+
+def test_locate_equals_fragment_locator_answers_and_refusals():
+    rng = random.Random(1414)
+    negative = [s for s in _all_slopes(5) if s.det < 0]
+    refused = answered = 0
+    for slopes in _all_slopes(3) + [Slopes(20, 1, -1, 20)] + rng.sample(negative, 6):
+        loc, oracle = PartitionLocator(slopes), FragmentLocator(slopes)
+        for x, y in _differential_points(slopes, rng):
+            answer = _answer(oracle, x, y)
+            assert _answer(loc, x, y) == answer, (slopes, x, y)
+            refused += isinstance(answer, str)
+            answered += isinstance(answer, int)
+    assert refused > 10_000 and answered > 10_000
+
+
+def test_locator_attributes_are_the_cells_and_their_fragments():
+    for slopes in SWEEP_8 + [Slopes(20, 1, -1, 20)]:
+        loc = PartitionLocator(slopes)
+        assert loc.slopes == slopes
+        assert loc.cells == partition_unit_square(slopes)
+        fragments = [(c.index, f) for c in loc.cells for f in cell_fragments(c)]
+        assert loc.fragments == fragments == FragmentLocator(slopes).fragments, slopes

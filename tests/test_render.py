@@ -65,6 +65,24 @@ def test_pbm_round_trip(ps):
     assert parse_pbm(data) == canonicalize(ps)
 
 
+@pytest.mark.parametrize("data", [b"", b"P1\n", b"P1 2\n", b"P4 1 1 1", b"P1 a 1 1"])
+def test_parse_pbm_refuses_a_truncated_or_foreign_header(data):
+    with pytest.raises(ValueError):
+        parse_pbm(data)
+
+
+@pytest.mark.parametrize("data", [b"P1 -1 -1 1", b"P1 0 0", b"P1 0 3", b"P1 2 -1 1 1"])
+def test_parse_pbm_refuses_a_size_below_one(data):
+    with pytest.raises(ValueError):
+        parse_pbm(data)
+
+
+@pytest.mark.parametrize("data", [b"P1 2 1 1 2", b"P1 1 1 x", b"P1 2 1 01 1", b"P1 2 1 01", b"P1 1 2 1 1 0"])
+def test_parse_pbm_refuses_bad_bits_and_counts(data):
+    with pytest.raises(ValueError):
+        parse_pbm(data)
+
+
 @given(pixelsets, pixelsets)
 def test_injective_on_canonical_sets(ps1, ps2):
     ps1, ps2 = canonicalize(ps1), canonicalize(ps2)
