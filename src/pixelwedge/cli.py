@@ -18,7 +18,7 @@ from .errors import DomainError, UnsupportedFormat
 from .exact import check_rational_text, format_rational, parse_rational
 from .partition import fragment_bound, partition_unit_square
 from .render import RenderOptions, json_line, render_partition, render_pixelset
-from .shapes import class_index, default_window, enumerate_shapes, region_params, shape_of_spec
+from .shapes import class_index, default_window, enumerate_shapes, region_params, separating_window, shape_of_spec
 from .verify import sample_class_frequencies, sweep_pair_estimate, theorem_sweep
 
 _VALUE_FLAGS = ("--slope1", "--slope2", "--corner")
@@ -26,9 +26,9 @@ _VALUE_FLAGS = ("--slope1", "--slope2", "--corner")
 SWEEP_PAIR_LIMIT = 1_000_000
 # `verify` keeps a count per class, in every block; this admits D <= 10**6 (8 MB a list)
 VERIFY_CLASS_LIMIT = 1_000_000
-# `enumerate` builds up to D*(2w+1)**2 bitmap pixels, about half of them at worst;
-# at 10**7 the json answer takes ~6 s and ~400 MB on 2 CPUs. `render` draws one
-# (2w+1)**2 box, and is held to the same limit
+# `enumerate` builds up to D*(2w+1)**2 bitmap pixels, about half of them at worst, at
+# w = `separating_window`; at 10**7 the json answer takes ~6 s and ~400 MB on 2 CPUs.
+# `render` draws one (2w+1)**2 box at its own w, and is held to the same limit
 ENUMERATE_PIXEL_LIMIT = 10_000_000
 # `partition` writes D cells (json) or every cell's pieces (svg, see fragment_bound);
 # at 10**5 either takes under ~10 s on 2 CPUs
@@ -184,7 +184,7 @@ def _run(args) -> tuple[bytes, int]:
     if args.command == "enumerate":
         slopes = _slopes(args)
         w = default_window(slopes) if args.window is None else args.window
-        pixels = slopes.count * (2 * w + 1) ** 2
+        pixels = slopes.count * (2 * separating_window(slopes, w) + 1) ** 2
         _within(ENUMERATE_PIXEL_LIMIT, pixels, f"enumerate would build up to {pixels} bitmap pixels")
         shapes = enumerate_shapes(slopes, w)
         if args.format == "json":

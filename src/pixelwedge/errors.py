@@ -17,10 +17,6 @@ class EmptyRegion(DomainError):
     """No pixel of the window belongs to the region."""
 
 
-class WindowTooSmall(DomainError):
-    """Two shape classes collide inside the window even after growth."""
-
-
 class InvalidAxis(DomainError):
     """Reflection axis is not anchored on a pixel-corner or pixel-center line."""
 

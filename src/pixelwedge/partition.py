@@ -194,10 +194,14 @@ class PartitionLocator:
 
     def __init__(self, slopes: Slopes):
         self.slopes = slopes
-        self.cells = partition_unit_square(slopes)
         bases = [(x, y) for _, x, y in cell_bases(slopes)]
         self._index = {base: j for j, base in enumerate(bases)}
         self._base0 = bases[0]
+
+    @functools.cached_property
+    def cells(self) -> list[Parallelogram]:
+        """`partition_unit_square(slopes)`, computed on first read."""
+        return partition_unit_square(self.slopes)
 
     @functools.cached_property
     def fragments(self) -> list[tuple[int, list[Point]]]:

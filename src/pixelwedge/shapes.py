@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import chain
 
 from .digitize import AngleSpec, PixelIndex, Slopes, angle_thresholds, corner_ceilings, window_columns
-from .errors import InvalidAxis, WindowTooSmall
+from .errors import InvalidAxis
 
 PixelSet = frozenset  # of (m, n) pixel indices
 
@@ -125,26 +125,42 @@ def default_window(slopes: Slopes) -> int:
     return 2 * (abs(slopes.a) + abs(slopes.b) + abs(slopes.c) + abs(slopes.d))
 
 
+def separating_window(slopes: Slopes, window: int) -> int:
+    """The first doubling of `window` that is at least max(|a|, |b|, |c|, |d|):
+    the largest window that class_signatures grows `window` to."""
+    top = max(abs(slopes.a), abs(slopes.b), abs(slopes.c), abs(slopes.d))
+    return window << ((top - 1) // window).bit_length()
+
+
 def class_signatures(slopes: Slopes, window: int | None = None) -> tuple[int, list[tuple[Columns, PixelIndex]]]:
     """The window and the fingerprints of the D classes, index order 0..D-1.
 
-    The window grows by doubling (up to 8x the starting size) if two classes
-    collide inside it; distinct classes have distinct unclipped regions, so
-    some finite window always separates them. The returned fingerprints are
-    nonempty and pairwise distinct.
+    The window doubles from the one asked for until the D fingerprints are
+    nonempty and pairwise distinct. They are at every window w >= M =
+    max(|a|, |b|, |c|, |d|), so the doubling stops by `separating_window`.
+
+    Proof. The apex P of R(0, j) lies in [A, A+1)^2, A its anchor. Lattice
+    points on the line a*m - b*n = 0 are (b, a) apart, so within one step
+    from P along the boundary ray inside c*m - d*n >= j lies a member pixel
+    with a*m - b*n = 0 exactly; each coordinate of its offset from A is at
+    most max(|a|, |b|) <= w in size, so the box holds it. Likewise the box
+    holds a member pixel with c*m - d*n = j. Equal fingerprints of classes j
+    and k make the two boxed sets translates, S_k = S_j + t. The minimum of
+    a*m - b*n is 0 over both, so a*t_x = b*t_y and, as gcd(a, b) = 1,
+    t = s*(b, a) for an integer s. The minimum of c*m - d*n then gives
+    k = j - s*det, and 0 <= j, k < D forces k = j.
     """
-    base = default_window(slopes) if window is None else window
-    if base < 1:
+    w = default_window(slopes) if window is None else window
+    if w < 1:
         raise ValueError("window must be >= 1")
-    d = slopes.count
-    for factor in (1, 2, 4, 8):
-        w = base * factor
+    d, top = slopes.count, separating_window(slopes, w)
+    while True:
         sigs = [class_fingerprint(slopes, 0, j, w) for j in range(d)]
         if all(sig for sig, _ in sigs) and len({sig for sig, _ in sigs}) == d:
             return w, sigs
-    raise WindowTooSmall(
-        f"classes of {slopes.as_tuple()} not pairwise distinct within window {base * 8}"
-    )
+        if w >= top:  # only if the proof above is wrong
+            raise AssertionError(f"classes of {slopes.as_tuple()} collide at window {w}")
+        w *= 2
 
 
 def _bitmaps(sigs: list[Columns]) -> list[PixelSet]:
@@ -185,11 +201,8 @@ def _bitmaps(sigs: list[Columns]) -> list[PixelSet]:
 
 
 def enumerate_shapes(slopes: Slopes, window: int | None = None) -> list[ShapeClass]:
-    """All D shape classes as canonical windowed bitmaps, index order 0..D-1.
-
-    Raises WindowTooSmall when no window up to 8x the starting size separates
-    the classes (see class_signatures).
-    """
+    """All D shape classes as canonical windowed bitmaps, index order 0..D-1,
+    at the window class_signatures grows the starting one to."""
     w, sigs = class_signatures(slopes, window)
     bitmaps = _bitmaps([sig for sig, _ in sigs])
     return [

@@ -29,9 +29,9 @@ from .digitize import (
     threshold_ceilings,
     window_columns,
 )
-from .errors import PixelCenterHit, WindowTooSmall
+from .errors import PixelCenterHit
 from .partition import cell_bases, partition_unit_square
-from .shapes import class_of_params, class_signatures
+from .shapes import class_fingerprint, class_of_params
 
 
 def _gamma_p(s: float, x: float) -> float:
@@ -325,14 +325,12 @@ def sweep_pair_estimate(bound: int) -> int:
 class SweepEntry:
     slopes: tuple[int, int, int, int]
     expected: int
-    classes: int
-    window: int  # the sweep's own separating window, not enumerate_shapes'
+    classes: int  # distinct nonempty class fingerprints at window max |entry|
     areas_ok: bool  # cells_match_classes: each partition cell holds its own class
-    error: str | None = None
 
     @property
     def ok(self) -> bool:
-        return self.error is None and self.classes == self.expected and self.areas_ok
+        return self.classes == self.expected and self.areas_ok
 
 
 @dataclass
@@ -360,7 +358,6 @@ class SweepReport:
                     "expected": e.expected,
                     "classes": e.classes,
                     "areas_ok": e.areas_ok,
-                    "error": e.error,
                 }
                 for e in self.failures
             ],
@@ -379,7 +376,7 @@ class SweepReport:
         for d in sorted(counts):
             lines.append(f"{d:<6d} {counts[d]}")
         for e in self.failures:
-            lines.append(f"FAIL {e.slopes}: classes={e.classes} expected={e.expected} error={e.error}")
+            lines.append(f"FAIL {e.slopes}: classes={e.classes} expected={e.expected}")
         lines.append("sweep: PASS" if self.ok else "sweep: FAIL")
         return "\n".join(lines)
 
@@ -389,14 +386,11 @@ def theorem_sweep(max_shapes: int, max_entry: int | None = None) -> SweepReport:
     of its own class, over every coprime slope pair with entries bounded by
     max_entry and 1 <= D <= max_shapes.
 
-    Classes are counted by their distinct fingerprints, so no bitmap is
-    built. The window starts at max(|a|, |b|, |c|, |d|) and doubles until the
-    D fingerprints differ; each clips the region around an anchor that moves
-    with it, so distinct fingerprints prove distinct classes at any window.
-    The distinctness check is class_signatures' own: it returns the D
-    fingerprints only once they are pairwise distinct, so an entry's
-    `classes` is their number, and otherwise raises WindowTooSmall, which is
-    recorded as a failing entry.
+    Classes are counted as the distinct nonempty fingerprints at the window
+    max(|a|, |b|, |c|, |d|), so no bitmap is built. Each clips the region
+    around an anchor that moves with it, so distinct fingerprints prove
+    distinct classes; class_signatures proves that this window shows all D,
+    and a collision leaves an entry with fewer classes than expected.
     """
     if max_shapes < 1:
         raise ValueError("max_shapes must be >= 1")
@@ -411,14 +405,8 @@ def theorem_sweep(max_shapes: int, max_entry: int | None = None) -> SweepReport:
             if det == 0 or abs(det) > max_shapes:
                 continue
             slopes = Slopes(a, b, c, d)
-            expected = slopes.count
-            try:
-                window, sigs = class_signatures(slopes, max(abs(a), abs(b), abs(c), abs(d)))
-                report.entries.append(
-                    SweepEntry(slopes.as_tuple(), expected, len(sigs), window, cells_match_classes(slopes))
-                )
-            except WindowTooSmall as exc:
-                report.entries.append(
-                    SweepEntry(slopes.as_tuple(), expected, 0, 0, False, str(exc))
-                )
+            window = max(abs(a), abs(b), abs(c), abs(d))
+            sigs = {class_fingerprint(slopes, 0, j, window)[0] for j in range(slopes.count)} - {()}
+            entry = SweepEntry(slopes.as_tuple(), slopes.count, len(sigs), cells_match_classes(slopes))
+            report.entries.append(entry)
     return report

@@ -183,6 +183,23 @@ def test_enumerate_over_the_pixel_limit_is_refused_at_once():
     assert limit in refused_at_once("enumerate", "--slope1", s1, "--slope2", s2)
 
 
+def test_enumerate_estimate_counts_the_window_growth():
+    # D = 1601 asked at window 6, which grows to 48, the first doubling of 6
+    # that reaches max |entry| = 40: 1601 boxes of 97 x 97 pixels
+    from pixelwedge.cli import ENUMERATE_PIXEL_LIMIT
+
+    err = refused_at_once("enumerate", "--slope1", "40/1", "--slope2", "-1/40", "--window", "6")
+    assert b"15063809" in err and str(ENUMERATE_PIXEL_LIMIT).encode() in err
+
+
+def test_enumerate_grows_a_window_too_small_to_separate():
+    # window 1 collides at 1, 2, 4 and 8, and 16 >= max |entry| = 10 separates
+    r = run("enumerate", "--slope1", "10/1", "--slope2", "-1/10", "--window", "1", "--format", "json")
+    assert r.returncode == 0, r.stderr
+    shapes = json.loads(r.stdout)
+    assert len(shapes) == 101 and {s["window"] for s in shapes} == {16}
+
+
 def test_partition_over_the_piece_limit_is_refused_at_once():
     from pixelwedge.cli import PARTITION_PIECE_LIMIT
 

@@ -11,7 +11,6 @@ from pixelwedge import (
     RegionParams,
     ShapeClass,
     Slopes,
-    WindowTooSmall,
     canonicalize,
     class_index,
     class_of_params,
@@ -24,7 +23,7 @@ from pixelwedge import (
     shift_params,
 )
 from pixelwedge.digitize import angle_thresholds, corner_ceilings, region_pixels
-from pixelwedge.shapes import _bitmaps, class_fingerprint, class_signatures
+from pixelwedge.shapes import _bitmaps, class_fingerprint, class_signatures, separating_window
 from pixelwedge.verify import coprime_pairs, hobby_region_check
 
 from conftest import coprime_pair, corner_st, slopes_st
@@ -325,12 +324,12 @@ class TestEnumerate:
 def reference_shapes(slopes, window=None):
     """enumerate_shapes rebuilt pixel by pixel: centre membership over the
     whole window box, anchored at the floor of the exact boundary-line
-    crossing, with the same window doubling."""
+    crossing, with the same window doubling. Distinct classes have distinct
+    unclipped regions, so some window separates them and the loop ends."""
     a, b, c, d = slopes.as_tuple()
     det = b * c - a * d
-    base = default_window(slopes) if window is None else window
-    for factor in (1, 2, 4, 8):
-        w = base * factor
+    w = default_window(slopes) if window is None else window
+    while True:
         shapes = []
         for j in range(slopes.count):
             # crossing of a*m - b*n = 0 and c*m - d*n = j
@@ -350,7 +349,7 @@ def reference_shapes(slopes, window=None):
         else:
             if len({s.bitmap for s in shapes}) == slopes.count:
                 return shapes
-    raise WindowTooSmall(str(slopes.as_tuple()))
+        w *= 2
 
 
 class TestEnumerateAgainstReference:
@@ -374,11 +373,11 @@ class TestEnumerateAgainstReference:
         assert doubled > 0
 
     def test_window_too_small_matches_reference(self):
+        # window 1 collides at 1, 2, 4 and 8, and 16 >= max |entry| = 10 separates
         slopes = Slopes(10, 1, -1, 10)
-        with pytest.raises(WindowTooSmall):
-            reference_shapes(slopes, 1)
-        with pytest.raises(WindowTooSmall):
-            enumerate_shapes(slopes, 1)
+        shapes = enumerate_shapes(slopes, 1)
+        assert shapes[0].window == separating_window(slopes, 1) == 16
+        assert shapes == reference_shapes(slopes, 1)
 
     def test_classes_share_pixel_tuples(self):
         shapes = enumerate_shapes(P_SLOPES)
@@ -386,6 +385,42 @@ class TestEnumerateAgainstReference:
         for s in shapes:
             for px in s.bitmap:
                 assert pool.setdefault(px, px) is px
+
+
+class TestSeparatingWindow:
+    """class_signatures' lemma: at the window M = max |entry| the D class
+    fingerprints are nonempty and pairwise distinct."""
+
+    @staticmethod
+    def separates(pair):
+        slopes = Slopes(*pair)
+        window = max(abs(e) for e in pair)
+        sigs = [class_fingerprint(slopes, 0, j, window)[0] for j in range(slopes.count)]
+        return all(sigs) and len(set(sigs)) == slopes.count
+
+    def test_every_pair_with_entries_up_to_five(self):
+        pairs = [(a, b, c, d) for a, b in coprime_pairs(5) for c, d in coprime_pairs(5) if a * d != b * c]
+        assert len(pairs) == 6240
+        assert [pair for pair in pairs if not self.separates(pair)] == []
+
+    def test_seeded_pairs_with_entries_up_to_sixty(self):
+        rng = random.Random(15)
+        checked = 0
+        while checked < 20:
+            a, b, c, d = pair = tuple(rng.randint(-60, 60) for _ in range(4))
+            if math.gcd(a, b) == 1 and math.gcd(c, d) == 1 and 0 < abs(a * d - b * c) <= 3000:
+                assert self.separates(pair), pair
+                checked += 1
+
+    def test_separating_window_is_the_first_doubling_past_max_entry(self):
+        for pair, window, grown in (((10, 1, -1, 10), 1, 16), ((40, 1, -1, 40), 6, 48),
+                                    ((40, 1, -1, 40), 40, 40), ((2, 1, -3, 1), 1, 4)):
+            assert separating_window(Slopes(*pair), window) == grown, pair
+
+    def test_collision_at_the_separating_window_stops_the_doubling(self, monkeypatch):
+        monkeypatch.setattr("pixelwedge.shapes.class_fingerprint", lambda *args: (((0, 0, 0),), (0, 0)))
+        with pytest.raises(AssertionError, match=r"classes of \(10, 1, -1, 10\) collide at window 16"):
+            class_signatures(Slopes(10, 1, -1, 10), 1)
 
 
 def column_tables(pair):

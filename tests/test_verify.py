@@ -19,7 +19,7 @@ from pixelwedge import (
     sample_class_frequencies,
     theorem_sweep,
 )
-from pixelwedge import cli, shapes, verify
+from pixelwedge import cli, verify
 from pixelwedge.digitize import angle_thresholds, digitize_angle_path, is_pixel_center
 from pixelwedge.exact import extended_gcd
 from pixelwedge.partition import cell_bases
@@ -515,21 +515,21 @@ class TestSweep:
         assert all(e.areas_ok == (e.expected == 1) for e in report.entries)
 
     def test_fingerprint_collision_fails_the_entry(self, monkeypatch, capsys):
-        # the sweep counts classes through class_signatures' distinctness
-        # check; give every class of one pair the same fingerprint
-        real = shapes.class_fingerprint
+        # the sweep counts classes as distinct fingerprints; give every class
+        # of one pair the same fingerprint
+        real = verify.class_fingerprint
 
         def colliding(slopes, alpha, beta, window):
             if slopes.as_tuple() == (2, 1, -3, 1):
                 return ((0, 0, 0),), (0, 0)
             return real(slopes, alpha, beta, window)
 
-        monkeypatch.setattr(shapes, "class_fingerprint", colliding)
+        monkeypatch.setattr(verify, "class_fingerprint", colliding)
         report = theorem_sweep(5)
         assert report.ok is False
         [entry] = report.failures
-        assert entry.slopes == (2, 1, -3, 1) and entry.classes == 0
-        assert "not pairwise distinct" in entry.error
+        assert entry.slopes == (2, 1, -3, 1) and (entry.classes, entry.expected) == (1, 5)
+        assert "FAIL (2, 1, -3, 1): classes=1 expected=5" in report.table()
         # the report is written in full, and the exit code says it failed
         assert cli.main(["sweep", "5", "--format", "json"]) == 1
         payload = json.loads(capsys.readouterr().out)
@@ -560,11 +560,12 @@ class TestSweep:
             slopes = Slopes(*entry.slopes)
             shapes = enumerate_shapes(slopes)
             assert entry.classes == len({s.bitmap for s in shapes}), entry
-            w = entry.window
+            w = max(abs(e) for e in entry.slopes)
             assert w <= shapes[0].window
             # each sweep fingerprint is its class's enumerated bitmap clipped
             # to the (2w+1)^2 box around the corner pixel, anchor included
-            _, sigs = class_signatures(slopes, w)
+            window, sigs = class_signatures(slopes, w)
+            assert window == w, entry
             for shape, (sig, anchor) in zip(shapes, sigs, strict=True):
                 cm, cn = shape.corner_pixel
                 box = {(m, n) for m, n in shape.bitmap if abs(m - cm) <= w and abs(n - cn) <= w}
