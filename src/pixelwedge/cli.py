@@ -19,13 +19,17 @@ from .exact import check_rational_text, format_rational, parse_rational
 from .partition import fragment_bound, partition_unit_square
 from .render import RenderOptions, json_line, render_partition, render_pixelset
 from .shapes import class_index, default_window, enumerate_shapes, region_params, separating_window, shape_of_spec
-from .verify import sample_class_frequencies, sweep_pair_estimate, theorem_sweep
+from .verify import sample_class_frequencies, sample_work, sweep_pair_estimate, theorem_sweep
 
 _VALUE_FLAGS = ("--slope1", "--slope2", "--corner")
 # `sweep N` scans ~N**4 slope pairs; this admits N <= 19 (921600 pairs, ~20 s on 2 CPUs)
 SWEEP_PAIR_LIMIT = 1_000_000
 # `verify` keeps a count per class, in every block; this admits D <= 10**6 (8 MB a list)
 VERIFY_CLASS_LIMIT = 1_000_000
+# `verify` draws its samples and merges one D-long count list per block of
+# 2**15 of them (`sample_work`); at 10**8 a run takes ~27 s at D = 5, ~25 s at
+# D = 99857 and ~12 s at D = 999001 on 2 CPUs
+VERIFY_WORK_LIMIT = 100_000_000
 # `enumerate` builds up to D*(2w+1)**2 bitmap pixels, about half of them at worst, at
 # w = `separating_window`; at 10**7 the json answer takes ~6 s and ~400 MB on 2 CPUs.
 # `render` draws one (2w+1)**2 box at its own w, and is held to the same limit
@@ -206,6 +210,8 @@ def _run(args) -> tuple[bytes, int]:
     if args.command == "verify":
         slopes = _slopes(args)
         _within(VERIFY_CLASS_LIMIT, slopes.count, f"verify would count {slopes.count} shape classes")
+        work = sample_work(slopes, args.samples)
+        _within(VERIFY_WORK_LIMIT, work, f"verify would draw and merge {work} samples and class counts")
         hist = sample_class_frequencies(slopes, args.samples, args.seed)
         if args.format == "json":
             return json_line(hist.to_json_dict()), 0

@@ -20,7 +20,7 @@ from .errors import (
     ParallelSlopes,
     PixelCenterHit,
 )
-from .exact import HALF, extended_gcd
+from .exact import HALF, common_denominator, extended_gcd
 
 Point = tuple[Fraction, Fraction]
 PixelIndex = tuple[int, int]
@@ -93,7 +93,13 @@ class Slopes:
 
 @dataclass(frozen=True)
 class AngleSpec:
-    """An angular region: corner point plus the two directed slope pairs."""
+    """An angular region: corner point plus the two directed slope pairs.
+
+    The integer kernels read the corner as `xyq`, the triple (x, y, q) with
+    corner == (x/q, y/q) over the least common denominator q > 0. Like the
+    validated `slopes` it is kept outside the dataclass fields, so eq, hash
+    and repr ignore it.
+    """
 
     a: int
     b: int
@@ -104,9 +110,9 @@ class AngleSpec:
     def __post_init__(self):
         # validates coprimality and det; kept, so `slopes` is a plain read
         object.__setattr__(self, "_slopes", Slopes(self.a, self.b, self.c, self.d))
-        object.__setattr__(
-            self, "corner", (Fraction(self.corner[0]), Fraction(self.corner[1]))
-        )
+        x, y = Fraction(self.corner[0]), Fraction(self.corner[1])
+        object.__setattr__(self, "corner", (x, y))
+        object.__setattr__(self, "xyq", common_denominator(x, y))
 
     @property
     def slopes(self) -> Slopes:
@@ -119,11 +125,11 @@ class AngleSpec:
 
 def angle_thresholds(spec: AngleSpec) -> tuple[Fraction, Fraction]:
     """Exact thresholds (alpha, beta) such that pixel (m, n) is in the angle
-    iff a*m - b*n >= alpha and c*m - d*n >= beta."""
-    x0, y0 = spec.corner
-    alpha = spec.a * (x0 - HALF) - spec.b * (y0 - HALF)
-    beta = spec.c * (x0 - HALF) - spec.d * (y0 - HALF)
-    return alpha, beta
+    iff a*m - b*n >= alpha and c*m - d*n >= beta. Over 2q the corner less
+    (1/2, 1/2) is the integer pair (2x - q, 2y - q)."""
+    x, y, q = spec.xyq
+    u, v = 2 * x - q, 2 * y - q
+    return Fraction(spec.a * u - spec.b * v, 2 * q), Fraction(spec.c * u - spec.d * v, 2 * q)
 
 
 def threshold_ceilings(slopes: Slopes, x: int, y: int, q: int) -> tuple[int, int]:
@@ -138,22 +144,6 @@ def threshold_ceilings(slopes: Slopes, x: int, y: int, q: int) -> tuple[int, int
         -((slopes.b * v - slopes.a * u) // (2 * q)),
         -((slopes.d * v - slopes.c * u) // (2 * q)),
     )
-
-
-def corner_ceilings(spec: AngleSpec) -> tuple[int, int]:
-    """`threshold_ceilings` of the spec's corner, over its common denominator."""
-    x0, y0 = spec.corner
-    q = math.lcm(x0.denominator, y0.denominator)
-    return threshold_ceilings(
-        spec.slopes, x0.numerator * (q // x0.denominator), y0.numerator * (q // y0.denominator), q
-    )
-
-
-def pixel_in_angle(px: PixelIndex, spec: AngleSpec) -> bool:
-    """Closed-inequality membership of a pixel, decided at its center point."""
-    alpha, beta = angle_thresholds(spec)
-    m, n = px
-    return spec.a * m - spec.b * n >= alpha and spec.c * m - spec.d * n >= beta
 
 
 def window_columns(
@@ -202,8 +192,9 @@ def region_pixels(spec: AngleSpec, window: int) -> set[PixelIndex]:
     containing the corner."""
     if window < 1:
         raise ValueError("window must be >= 1")
-    anchor = (math.floor(spec.corner[0]), math.floor(spec.corner[1]))
-    cols = window_columns(spec.a, spec.b, spec.c, spec.d, *corner_ceilings(spec), anchor, window)
+    x, y, q = spec.xyq
+    ceilings = threshold_ceilings(spec.slopes, x, y, q)
+    cols = window_columns(spec.a, spec.b, spec.c, spec.d, *ceilings, (x // q, y // q), window)
     return {(m, n) for m, lo, hi in cols for n in range(lo, hi + 1)}
 
 
@@ -298,18 +289,6 @@ def digitize_polyline(points: list[Point]) -> GridPath:
     return path
 
 
-def digitize_segment(p: Point, q: Point) -> GridPath:
-    """Digitize the straight segment p -> q.
-
-    The open segment must avoid pixel centers, and the endpoints must not sit
-    on half-integer grid lines (their rounded positions start and end the
-    path).
-    """
-    if as_point(*p) == as_point(*q):
-        raise ValueError("degenerate segment")
-    return digitize_polyline([p, q])
-
-
 def _odd_prime_avoiding(values: list[int]) -> int:
     """Smallest odd prime dividing none of the given integers."""
     p = 3
@@ -349,12 +328,10 @@ def digitize_angle_path(spec: AngleSpec, extent: int) -> GridPath:
 
     def endpoint(u):
         # Overshoot the integer step count by 1/p for an odd prime p dividing
-        # neither the nonzero ray components nor the corner denominators: the
-        # prime survives into each moving coordinate's denominator, so no
+        # neither the nonzero ray components nor the corner's denominator q:
+        # the prime survives into each moving coordinate's denominator, so no
         # endpoint coordinate can land on an exact half-integer.
-        p = _odd_prime_avoiding(
-            [v for v in u if v] + [cx.denominator, cy.denominator]
-        )
+        p = _odd_prime_avoiding([v for v in u if v] + [spec.xyq[2]])
         t = _ray_steps(u, extent) + Fraction(1, p)
         return (cx + t * u[0], cy + t * u[1])
 

@@ -1,11 +1,13 @@
 """Exact rational arithmetic and the small number theory the geometry needs.
 
-Everything downstream computes with `fractions.Fraction` (lowest terms,
-positive denominator, arbitrary precision) or plain ints, with `math` for
-gcd, floor and ceiling. No floating point enters any predicate.
+Rationals are parsed to `fractions.Fraction` and written as "num/den" at the
+text edges. In between, the kernels compute on plain ints: a point is the
+integer triple of `common_denominator`. No floating point enters any
+predicate.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 HALF = Fraction(1, 2)
@@ -31,6 +33,13 @@ def extended_gcd(a: int, b: int) -> tuple[int, int, int]:
     x = old_s if a >= 0 else -old_s
     y = -old_t if b >= 0 else old_t
     return old_r, x, y
+
+
+def common_denominator(x: Fraction, y: Fraction) -> tuple[int, int, int]:
+    """(X, Y, q) with x == X/q and y == Y/q over the least common
+    denominator q > 0 of the two rationals."""
+    q = math.lcm(x.denominator, y.denominator)
+    return x.numerator * (q // x.denominator), y.numerator * (q // y.denominator), q
 
 
 # characters of one rational's text, and the largest |exponent| of a decimal:

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .digitize import Point, Slopes
 from .errors import PartitionBoundary
-from .exact import format_rational
+from .exact import common_denominator, format_rational
 
 Vec = tuple[Fraction, Fraction]
 
@@ -211,17 +211,17 @@ class PartitionLocator:
 
     def locate(self, x, y) -> int:
         """Class index of the cell whose interior contains (x mod 1, y mod 1)."""
-        px, py = Fraction(x) % 1, Fraction(y) % 1
-        q = math.lcm(px.denominator, py.denominator)
+        x, y, q = common_denominator(Fraction(x), Fraction(y))
+        px, py = x % q, y % q
         a, b, c, d = self.slopes.as_tuple()
         n = 2 * self.slopes.count
         sign = 1 if self.slopes.det > 0 else -1
         x0, y0 = self._base0
         # p - base 0 is (vx, vy)/(nq); its (e1, e2) coordinates are k + rk/(nq), l + rl/(nq)
-        vx = n * px.numerator * (q // px.denominator) - q * x0
-        vy = n * py.numerator * (q // py.denominator) - q * y0
+        vx = n * px - q * x0
+        vy = n * py - q * y0
         k, rk = divmod(sign * (d * vy - c * vx), n * q)
         l, rl = divmod(sign * (b * vy - a * vx), n * q)
         if not (px and py and rk and rl):
-            raise PartitionBoundary(f"({px}, {py}) lies on a cell boundary")
+            raise PartitionBoundary(f"({Fraction(px, q)}, {Fraction(py, q)}) lies on a cell boundary")
         return self._index[(x0 + 2 * (k * b - l * d)) % n, (y0 + 2 * (k * a - l * c)) % n]

@@ -10,12 +10,11 @@ literally equal.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
-from .digitize import AngleSpec, PixelIndex, Slopes, angle_thresholds, corner_ceilings, window_columns
+from .digitize import AngleSpec, PixelIndex, Slopes, angle_thresholds, threshold_ceilings, window_columns
 from .errors import InvalidAxis
 
 PixelSet = frozenset  # of (m, n) pixel indices
@@ -32,13 +31,7 @@ class RegionParams:
 
 
 def region_params(spec: AngleSpec) -> RegionParams:
-    alpha, beta = angle_thresholds(spec)
-    return RegionParams(alpha, beta, math.ceil(alpha), math.ceil(beta))
-
-
-def shift_params(slopes: Slopes, alpha: int, beta: int, k: int, l: int) -> tuple[int, int]:
-    """Parameters of the region translated by (k, l): R(shifted) == R(a,b) + (k,l)."""
-    return (alpha + k * slopes.a - l * slopes.b, beta + k * slopes.c - l * slopes.d)
+    return RegionParams(*angle_thresholds(spec), *threshold_ceilings(spec.slopes, *spec.xyq))
 
 
 def class_of_params(slopes: Slopes, alpha: int, beta: int) -> int:
@@ -55,7 +48,7 @@ def class_of_params(slopes: Slopes, alpha: int, beta: int) -> int:
 
 def class_index(spec: AngleSpec) -> int:
     """Class of the corner's integer thresholds."""
-    return class_of_params(spec.slopes, *corner_ceilings(spec))
+    return class_of_params(spec.slopes, *threshold_ceilings(spec.slopes, *spec.xyq))
 
 
 def equivalent(p1: RegionParams, p2: RegionParams, slopes: Slopes) -> bool:
@@ -217,7 +210,7 @@ def shape_of_spec(spec: AngleSpec, window: int | None = None) -> ShapeClass:
     w = default_window(slopes) if window is None else window
     if w < 1:
         raise ValueError("window must be >= 1")
-    alpha, beta = corner_ceilings(spec)
+    alpha, beta = threshold_ceilings(slopes, *spec.xyq)
     sig, corner = class_fingerprint(slopes, alpha, beta, w)
     bitmap = frozenset((m, n) for m, lo, hi in sig for n in range(lo, hi + 1))
     return ShapeClass(slopes.as_tuple(), class_of_params(slopes, alpha, beta), w, bitmap, corner)

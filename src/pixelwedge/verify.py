@@ -23,7 +23,6 @@ from .digitize import (
     AngleSpec,
     Slopes,
     angle_thresholds,
-    corner_ceilings,
     digitize_angle_path,
     is_pixel_center,
     threshold_ceilings,
@@ -225,6 +224,12 @@ def sample_class_frequencies(
     return ClassHistogram(slopes.as_tuple(), n, seed, tuple(counts), chisq, resampled)
 
 
+def sample_work(slopes: Slopes, n: int) -> int:
+    """The n samples of `sample_class_frequencies` plus its merges of one
+    D-long count list per block."""
+    return n + slopes.count * -(-n // _BLOCK)
+
+
 def exact_class_areas(slopes: Slopes) -> list[Fraction]:
     """Exact area of each partition cell (edge-vector determinant); all 1/D."""
     return [cell.area for cell in partition_unit_square(slopes)]
@@ -254,17 +259,18 @@ def hobby_region_check(spec: AngleSpec, window: int) -> bool:
     digitized region iff its center lies in the undigitized region". Raises
     PixelCenterHit when the corner is a pixel center, or when a boundary
     line has one within a pixel of the window: `window_columns` finds it as
-    a member of the degenerate strip t <= p*m - q*n <= t.
+    a member of the degenerate strip t <= p*m - r*n <= t.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
     if is_pixel_center(spec.corner):
         raise PixelCenterHit("corner is a pixel center")
     alpha, beta = angle_thresholds(spec)
-    m0, n0 = math.floor(spec.corner[0]), math.floor(spec.corner[1])
+    x, y, q = spec.xyq
+    m0, n0 = x // q, y // q
     w = window
-    for p, q, t in ((spec.a, spec.b, alpha), (spec.c, spec.d, beta)):
-        if t.denominator == 1 and window_columns(p, q, -p, -q, int(t), -int(t), (m0, n0), w + 1):
+    for p, r, t in ((spec.a, spec.b, alpha), (spec.c, spec.d, beta)):
+        if t.denominator == 1 and window_columns(p, r, -p, -r, int(t), -int(t), (m0, n0), w + 1):
             raise PixelCenterHit("a boundary line passes through a window pixel center")
 
     path = digitize_angle_path(spec, w + 4)
@@ -277,7 +283,8 @@ def hobby_region_check(spec: AngleSpec, window: int) -> bool:
 
     # one row and column past the window, so that an end clamped to the box
     # lies outside the window and is never taken for a flip
-    cols = window_columns(spec.a, spec.b, spec.c, spec.d, *corner_ceilings(spec), (m0, n0), w + 1)
+    ceilings = threshold_ceilings(spec.slopes, x, y, q)
+    cols = window_columns(spec.a, spec.b, spec.c, spec.d, *ceilings, (m0, n0), w + 1)
     flips = {
         (m, n) for m, lo, hi in cols for n in (lo, hi + 1)
         if abs(m - m0) <= w and abs(n - n0) <= w

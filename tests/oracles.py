@@ -6,6 +6,26 @@ from pixelwedge.errors import PartitionBoundary
 from pixelwedge.partition import _int_fragments, partition_unit_square
 
 
+def fraction_thresholds(spec):
+    """(alpha, beta) by the Fraction formula a*(x0 - 1/2) - b*(y0 - 1/2)
+    and c*(x0 - 1/2) - d*(y0 - 1/2) of the corner (x0, y0)."""
+    x0, y0 = spec.corner
+    half = Fraction(1, 2)
+    return (spec.a * (x0 - half) - spec.b * (y0 - half), spec.c * (x0 - half) - spec.d * (y0 - half))
+
+
+def pixel_in_angle(px, spec):
+    """Closed-inequality membership of a pixel, decided at its center point."""
+    alpha, beta = fraction_thresholds(spec)
+    m, n = px
+    return spec.a * m - spec.b * n >= alpha and spec.c * m - spec.d * n >= beta
+
+
+def shift_params(slopes, alpha, beta, k, l):
+    """Parameters of the region translated by (k, l): R(shifted) == R(alpha, beta) + (k, l)."""
+    return (alpha + k * slopes.a - l * slopes.b, beta + k * slopes.c - l * slopes.d)
+
+
 def column_interval(a, b, c, d, alpha, beta, m):
     """Pixel rows of column m satisfying a*m - b*n >= alpha, c*m - d*n >= beta.
 

@@ -166,6 +166,26 @@ def refused_at_once(*args):
     return r.stderr
 
 
+def test_verify_over_the_work_limit_is_refused_at_once():
+    # about 4*10**6 samples/s: 10**10 samples ran ~40 minutes, and at 10**12
+    # the list of blocks alone took ~3.4 GB before the first draw
+    from pixelwedge.cli import VERIFY_WORK_LIMIT
+
+    for samples in (10**10, 10**12):
+        err = refused_at_once("verify", "--slope1", "2/1", "--slope2", "-3/1", "--samples", str(samples))
+        work = samples + 5 * -(-samples // 2**15)
+        assert str(work).encode() in err and str(VERIFY_WORK_LIMIT).encode() in err
+
+
+def test_verify_work_counts_one_class_merge_per_block():
+    # D = 999001 is under the class limit, but each of the 306 blocks of 10**7
+    # samples merges a D-long count list: ~0.1 s a block, ~30 s in all
+    from pixelwedge.cli import VERIFY_WORK_LIMIT
+
+    err = refused_at_once("verify", "--slope1", "999/1", "--slope2", "-1/1000", "--samples", "10000000")
+    assert str(10**7 + 999001 * 306).encode() in err and str(VERIFY_WORK_LIMIT).encode() in err
+
+
 def test_enumerate_over_the_pixel_limit_is_refused_at_once():
     from pixelwedge.cli import ENUMERATE_PIXEL_LIMIT
 

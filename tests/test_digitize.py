@@ -17,8 +17,6 @@ from pixelwedge import (
     cells_enclosed,
     digitize_angle_path,
     digitize_polyline,
-    digitize_segment,
-    pixel_in_angle,
     round_nearest,
     trace_region_boundary,
 )
@@ -27,7 +25,7 @@ from pixelwedge.exact import HALF, extended_gcd
 from pixelwedge.shapes import class_of_params
 
 from conftest import corner_st, slopes_st
-from oracles import column_interval
+from oracles import column_interval, pixel_in_angle
 
 F = Fraction
 
@@ -69,19 +67,21 @@ class TestRounding:
 
 
 class TestDigitizeSegment:
+    """A straight segment p -> q is the two-vertex polyline [p, q]."""
+
     def test_horizontal(self):
-        assert digitize_segment((0, F(1, 5)), (3, F(1, 5))) == [
+        assert digitize_polyline([(0, F(1, 5)), (3, F(1, 5))]) == [
             (0, 0), (1, 0), (2, 0), (3, 0),
         ]
 
     def test_vertical(self):
-        assert digitize_segment((F(1, 4), F(1, 4)), (F(1, 4), F(13, 4))) == [
+        assert digitize_polyline([(F(1, 4), F(1, 4)), (F(1, 4), F(13, 4))]) == [
             (0, 0), (0, 1), (0, 2), (0, 3),
         ]
 
     def test_slope_two_staircase(self):
         # crossing order worked out by hand: y, x, y, y, x, y
-        assert digitize_segment((F(1, 4), F(1, 4)), (F(9, 4), F(17, 4))) == [
+        assert digitize_polyline([(F(1, 4), F(1, 4)), (F(9, 4), F(17, 4))]) == [
             (0, 0), (0, 1), (1, 1), (1, 2), (1, 3), (2, 3), (2, 4),
         ]
 
@@ -95,7 +95,7 @@ class TestDigitizeSegment:
             if p == q:
                 continue
             try:
-                got = digitize_segment(p, q)
+                got = digitize_polyline([p, q])
             except PixelCenterHit:
                 continue
             assert got == oracle_segment(p, q)
@@ -108,10 +108,10 @@ class TestDigitizeSegment:
             if p == q:
                 continue
             try:
-                forward = digitize_segment(p, q)
+                forward = digitize_polyline([p, q])
             except PixelCenterHit:
                 continue
-            assert digitize_segment(q, p) == list(reversed(forward))
+            assert digitize_polyline([q, p]) == list(reversed(forward))
 
     def test_vertices_near_segment(self):
         # every vertex within Chebyshev distance 1 of the true segment
@@ -135,7 +135,7 @@ class TestDigitizeSegment:
             if p == q:
                 continue
             try:
-                path = digitize_segment(p, q)
+                path = digitize_polyline([p, q])
             except PixelCenterHit:
                 continue
             assert all(hits_box(p, q, v) for v in path)
@@ -148,7 +148,7 @@ class TestDigitizeSegment:
             dy = F(rng.randint(1, 30), 11)
             q = (p[0] + dx, p[1] + dy)
             try:
-                path = digitize_segment(p, q)
+                path = digitize_polyline([p, q])
             except PixelCenterHit:
                 continue
             for (x1, y1), (x2, y2) in zip(path, path[1:]):
@@ -156,11 +156,11 @@ class TestDigitizeSegment:
 
     def test_pixel_center_rejected(self):
         with pytest.raises(PixelCenterHit):
-            digitize_segment((0, 0), (1, 1))  # passes through (1/2, 1/2)
+            digitize_polyline([(0, 0), (1, 1)])  # passes through (1/2, 1/2)
 
     def test_half_integer_endpoint_rejected(self):
         with pytest.raises(HalfIntegerTie, match=r"^path endpoint \(1/2, 0\) rounds ambiguously$"):
-            digitize_segment((F(1, 2), 0), (2, 1))
+            digitize_polyline([(F(1, 2), 0), (2, 1)])
 
     def test_centre_vertex_rejected(self):
         with pytest.raises(PixelCenterHit, match=r"^path vertex \(1/2, 3/2\) is a pixel center$"):
@@ -168,7 +168,7 @@ class TestDigitizeSegment:
 
     def test_degenerate_segment_rejected(self):
         with pytest.raises(ValueError):
-            digitize_segment((F(1, 3), F(1, 3)), (F(1, 3), F(1, 3)))
+            digitize_polyline([(F(1, 3), F(1, 3)), (F(1, 3), F(1, 3))])
 
     def test_interior_vertex_on_half_line_ok(self):
         path = digitize_polyline(
@@ -186,15 +186,22 @@ class TestDigitizeSegment:
 class TestPixelInAngle:
     SPEC = AngleSpec(2, 1, -3, 1, (F(1, 2), F(1, 2)))
 
+    def member(self, px):
+        """Whether the window scan keeps the pixel; the Fraction formula at
+        its centre must agree."""
+        got = px in region_pixels(self.SPEC, 2)
+        assert got == pixel_in_angle(px, self.SPEC)
+        return got
+
     def test_corner_pixel_included_by_closed_inequalities(self):
-        assert pixel_in_angle((0, 0), self.SPEC)
+        assert self.member((0, 0))
 
     def test_first_form_negative(self):
-        assert not pixel_in_angle((-1, 0), self.SPEC)
+        assert not self.member((-1, 0))
 
     def test_second_form_negative(self):
         # first form evaluates to 3 >= 0, second to -2: excluded
-        assert not pixel_in_angle((1, -1), self.SPEC)
+        assert not self.member((1, -1))
 
 
 def clamped_interval_scan(a, b, c, d, alpha, beta, anchor, window):

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -20,14 +22,13 @@ from pixelwedge import (
     reflection_symmetric,
     region_params,
     shape_of_spec,
-    shift_params,
 )
-from pixelwedge.digitize import angle_thresholds, corner_ceilings, region_pixels
+from pixelwedge.digitize import region_pixels
 from pixelwedge.shapes import _bitmaps, class_fingerprint, class_signatures, separating_window
 from pixelwedge.verify import coprime_pairs, hobby_region_check
 
 from conftest import coprime_pair, corner_st, slopes_st
-from oracles import direct_bitmaps
+from oracles import direct_bitmaps, fraction_thresholds, shift_params
 
 F = Fraction
 
@@ -40,7 +41,7 @@ def spec_p(x, y):
 
 
 def _member_fn(spec):
-    alpha, beta = angle_thresholds(spec)
+    alpha, beta = fraction_thresholds(spec)
     a, b, c, d = spec.a, spec.b, spec.c, spec.d
     return lambda m, n: a * m - b * n >= alpha and c * m - d * n >= beta
 
@@ -135,29 +136,53 @@ class TestClassIndex:
             k, l = rng.randint(-20, 20), rng.randint(-20, 20)
             assert class_index(spec_p(x, y)) == class_index(spec_p(x + k, y + l))
 
+    @staticmethod
+    def corner_coords(rng):
+        """A dyadic, a decimal, an integer and a half-integer coordinate."""
+        return (
+            F(rng.getrandbits(64), 1 << 64),
+            F(rng.randrange(10 ** 3), 10 ** rng.randint(1, 3)),
+            F(rng.randint(-5, 5)),
+            F(2 * rng.randint(-5, 5) + 1, 2),
+        )
 
     def test_integer_formula_matches_fraction_thresholds(self):
-        # all pairs with entries <= 3; dyadic, decimal, integer and
-        # half-integer corners, shifted by random integers
+        # all pairs with entries <= 3; the corners of corner_coords, shifted
+        # by random integers; the oracle is the Fraction formula
         rng = random.Random(960)
         pairs = coprime_pairs(3)
         for a, b in pairs:
             for c, d in pairs:
                 if a * d == b * c:
                     continue
-                coords = (
-                    F(rng.getrandbits(64), 1 << 64),
-                    F(rng.randrange(10 ** 3), 10 ** rng.randint(1, 3)),
-                    F(rng.randint(-5, 5)),
-                    F(2 * rng.randint(-5, 5) + 1, 2),
-                )
+                coords = self.corner_coords(rng)
                 for x in coords:
                     for y in coords:
                         spec = AngleSpec(a, b, c, d, (x + rng.randint(-50, 50), y))
-                        p = region_params(spec)
-                        assert corner_ceilings(spec) == (p.alpha_ceil, p.beta_ceil), spec
-                        expected = class_of_params(spec.slopes, p.alpha_ceil, p.beta_ceil)
-                        assert class_index(spec) == expected, spec
+                        alpha, beta = fraction_thresholds(spec)
+                        ceilings = (math.ceil(alpha), math.ceil(beta))
+                        assert region_params(spec) == RegionParams(alpha, beta, *ceilings), spec
+                        assert class_index(spec) == class_of_params(spec.slopes, *ceilings), spec
+
+    def test_integer_corner_is_the_fraction_corner(self):
+        rng = random.Random(961)
+        for _ in range(50):
+            coords = self.corner_coords(rng)
+            for x0 in coords:
+                for y0 in coords:
+                    spec = spec_p(x0 + rng.randint(-50, 50), y0)
+                    x, y, q = spec.xyq
+                    assert (F(x, q), F(y, q)) == spec.corner and q > 0, spec
+                    assert q == math.lcm(spec.corner[0].denominator, spec.corner[1].denominator)
+                    # outside the fields: eq, hash and repr see the corner only
+                    twin = spec_p(*spec.corner)
+                    assert spec == twin and hash(spec) == hash(twin) and repr(spec) == repr(twin)
+                    assert "xyq" not in repr(spec)
+                    assert pickle.loads(pickle.dumps(spec)).xyq == spec.xyq
+                    assert dataclasses.replace(spec).xyq == spec.xyq
+                    mx, my, mq = dataclasses.replace(spec, corner=(y0, x0)).xyq
+                    assert (F(mx, mq), F(my, mq)) == (y0, x0)
+        assert [f.name for f in dataclasses.fields(AngleSpec)] == ["a", "b", "c", "d", "corner"]
 
     def test_spec_keeps_its_validated_slopes(self):
         spec = spec_p(F(1, 3), F(2, 3))

@@ -20,13 +20,13 @@ from pixelwedge import (
     theorem_sweep,
 )
 from pixelwedge import cli, verify
-from pixelwedge.digitize import angle_thresholds, digitize_angle_path, is_pixel_center
+from pixelwedge.digitize import digitize_angle_path, is_pixel_center
 from pixelwedge.exact import extended_gcd
 from pixelwedge.partition import cell_bases
 from pixelwedge.shapes import canonicalize, class_signatures
 from pixelwedge.verify import chi2_q999, coprime_pairs, sweep_pair_estimate
 
-from oracles import column_interval, integer_tie_in_window
+from oracles import column_interval, fraction_thresholds, integer_tie_in_window
 
 F = Fraction
 
@@ -336,10 +336,11 @@ class TestExactAreas:
 def interval_hobby_check(spec, window):
     """hobby_region_check with its earlier tie and flip tests: a division
     per column for each boundary line, and one unclamped column_interval per
-    window column, each end a flip only inside the window."""
+    window column, each end a flip only inside the window, on the Fraction
+    thresholds."""
     if is_pixel_center(spec.corner):
         raise PixelCenterHit("corner is a pixel center")
-    alpha, beta = angle_thresholds(spec)
+    alpha, beta = fraction_thresholds(spec)
     m0, n0 = math.floor(spec.corner[0]), math.floor(spec.corner[1])
     w = window
     m_range = range(m0 - w - 1, m0 + w + 2)
@@ -448,6 +449,14 @@ class TestHobbyProperty:
         # the box one pixel past it
         spec = AngleSpec(1, -4, 1, 0, (F(-1, 10), F(9, 10)))
         with pytest.raises(PixelCenterHit, match="boundary line passes through a window pixel center"):
+            hobby_region_check(spec, 1)
+
+    def test_tie_two_pixels_past_the_window_is_left_to_the_path(self):
+        # 7m - 11n = 6 holds at the centre of (4, 2), three columns right of
+        # the corner pixel (1, 0): past the box one pixel beyond window 1, so
+        # only the digitized path, which runs further out, meets it
+        spec = AngleSpec(4, -5, 7, 11, (F(7, 4), F(3, 4)))
+        with pytest.raises(PixelCenterHit, match=r"^path passes through a pixel center at t=13/16$"):
             hobby_region_check(spec, 1)
 
     def test_randomised(self):
