@@ -366,6 +366,13 @@ PARTITION_SHA256 = {
     ("-3/1", "-1/2", "json"): "55af1491e183b6e25d450e781fb2dab2a9058357f598d2685c77503c285e13fc",
     ("1/2", "3/1", "svg"): "e4e0f75ee01111cd483332c7183558f7e1b54d96084eacacad0c2dbdea3dfa95",  # det < 0
     ("1/2", "3/1", "json"): "713ea75a1108eb2d5bf899f760a6775ec8e1105904640e86e2e81621c6d16f20",
+    ("7/2", "-5/3", "svg"): "bb48be18f23ef07921b5dcef3ebe6537e662be9952c31a439179ea8055aa8d8f",  # D = 31
+    ("7/2", "-5/3", "json"): "4d570fd0b29a6e3346dcedfc2ec9e83afa076d5778c4e71a5dbccd6439791c06",
+    ("40/1", "-1/40", "svg"): "eaf45c931312eec6a95c78b706e6d8d20b99fe9a063cc3b3028d4f420a944804",  # D = 1601
+    ("40/1", "-1/40", "json"): "0d890c567d95a2103814598b3d77f67e083c8d911945d6959a918cf27c9fe95a",
+    # det = -3, and each cell spans 4 unit columns and 5 unit rows
+    ("6/5", "9/7", "svg"): "b52109397a37728d86b87ff97ab207900e71a3c9b59470f3e25c85beb4c9a594",
+    ("6/5", "9/7", "json"): "1896b75a76c4de210e77e352670f2dfd9f7e1fb04d4a50f784747b4c6722fb41",
 }
 
 
