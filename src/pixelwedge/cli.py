@@ -28,14 +28,18 @@ SWEEP_PAIR_LIMIT = 1_000_000
 VERIFY_CLASS_LIMIT = 1_000_000
 # `verify` draws its samples and merges one D-long count list per block of
 # 2**15 of them (`sample_work`); at 10**8 a run takes ~27 s at D = 5, ~25 s at
-# D = 99857 and ~12 s at D = 999001 on 2 CPUs
+# D = 99857 and ~12 s at D = 999001 on 2 CPUs. A sample whose key is wider
+# than 64 bits goes draw by draw: per sample it took 11x the D = 5 time with a
+# 103-bit key (entries near 10**30) and 24x with a 986-bit key (four 149-digit
+# entries, about the widest the text limit admits), so `sample_work` counts it
+# as `verify._WIDE_KEY_WORK` = 32 samples
 VERIFY_WORK_LIMIT = 100_000_000
 # `enumerate` builds up to D*(2w+1)**2 bitmap pixels, about half of them at worst, at
 # w = `separating_window`; at 10**7 the json answer takes ~6 s and ~400 MB on 2 CPUs.
 # `render` draws one (2w+1)**2 box at its own w, and is held to the same limit
 ENUMERATE_PIXEL_LIMIT = 10_000_000
 # `partition` writes D cells (json) or every cell's pieces (svg, see fragment_bound);
-# at 10**5 either takes under ~10 s on 2 CPUs
+# near 10**5, json took ~4 s at D = 99999 and svg ~2 s at D = 24965 (99860 pieces) on 2 CPUs
 PARTITION_PIECE_LIMIT = 100_000
 # `digitize` traces up to `path_vertex_bound` vertices; 10**5 take ~5 s on 2 CPUs
 DIGITIZE_VERTEX_LIMIT = 100_000

@@ -75,7 +75,9 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
-def format_rational(r: Fraction | int) -> str:
-    """Canonical "num/den" form used in all JSON output (e.g. "-2/5", "3/1")."""
-    r = Fraction(r)
-    return f"{r.numerator}/{r.denominator}"
+def format_rational(num: Fraction | int, den: int = 1) -> str:
+    """Canonical "num/den" form of num/den, den > 0, used in all JSON output
+    (e.g. "-2/5", "3/1"); reduces by one gcd and builds no Fraction."""
+    num, den = num.numerator, num.denominator * den
+    g = math.gcd(num, den)
+    return f"{num // g}/{den // g}"

@@ -2,9 +2,9 @@
 
 Corner points (x0, y0) with equal shape class fill a parallelogram lattice;
 reduced mod 1 the D parallelograms tile the unit square, each with area 1/D.
-Cells are computed exactly and clipped to the unit square on integers; a
-locator finds a point's cell on that lattice with integer arithmetic and
-refuses points that sit exactly on a cell boundary.
+Each cell's corners, unit-square fragments and rendered text come from one
+integer form (`_int_corners`); a locator finds a point's cell on that
+lattice with integer arithmetic and refuses points on a cell boundary.
 """
 from __future__ import annotations
 
@@ -20,15 +20,25 @@ from .exact import common_denominator, format_rational
 Vec = tuple[Fraction, Fraction]
 
 
-def _cross(u: Vec, v: Vec) -> Fraction:
-    return u[0] * v[1] - u[1] * v[0]
+def _shoelace(poly) -> int | Fraction:
+    """Twice the signed area of a polygon, positive for counterclockwise."""
+    return sum(x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in zip(poly, poly[1:] + poly[:1]))
 
 
-def _ccw(corners, turn) -> list:
-    """Corners (base, +e1, +e2, +e1+e2) as a counterclockwise cycle, given the
-    sign of cross(e1, e2)."""
+def _ccw(corners) -> list:
+    """Corners (base, +e1, +e2, +e1+e2) as a counterclockwise cycle."""
     c0, c1, c2, c3 = corners
-    return [c0, c1, c3, c2] if turn > 0 else [c0, c2, c3, c1]
+    cycle = [c0, c1, c3, c2]
+    return cycle if _shoelace(cycle) > 0 else [c0, c2, c3, c1]
+
+
+def _int_corners(cell: Parallelogram) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The lcm q of the cell's coordinate denominators, and its corners
+    (base, +e1, +e2, +e1+e2) as integer pairs over q."""
+    coords = (*cell.base, *cell.edge1, *cell.edge2)
+    q = math.lcm(*(v.denominator for v in coords))
+    bx, by, ux, uy, wx, wy = (v.numerator * (q // v.denominator) for v in coords)
+    return q, ((bx, by), (bx + ux, by + uy), (bx + wx, by + wy), (bx + ux + wx, by + uy + wy))
 
 
 @dataclass(frozen=True)
@@ -41,22 +51,18 @@ class Parallelogram:
     edge2: Vec
 
     def corners(self) -> tuple[Point, Point, Point, Point]:
-        bx, by = self.base
-        e1, e2 = self.edge1, self.edge2
-        return (
-            (bx, by),
-            (bx + e1[0], by + e1[1]),
-            (bx + e2[0], by + e2[1]),
-            (bx + e1[0] + e2[0], by + e1[1] + e2[1]),
-        )
+        """base, base + e1, base + e2 and base + e1 + e2."""
+        q, corners = _int_corners(self)
+        return tuple((Fraction(x, q), Fraction(y, q)) for x, y in corners)
 
     def polygon(self) -> list[Point]:
         """Corners as a counterclockwise cycle."""
-        return _ccw(self.corners(), _cross(self.edge1, self.edge2))
+        return _ccw(self.corners())
 
     @property
     def area(self) -> Fraction:
-        return abs(_cross(self.edge1, self.edge2))
+        (ux, uy), (wx, wy) = self.edge1, self.edge2
+        return abs(ux * wy - uy * wx)
 
     def to_json_dict(self) -> dict:
         return {
@@ -98,13 +104,6 @@ def partition_unit_square(slopes: Slopes) -> list[Parallelogram]:
 # --- clipping to the unit square -----------------------------------------------
 
 
-def polygon_area(poly: list[Point]) -> Fraction:
-    """Signed shoelace area (positive for counterclockwise), also of integer
-    polygons."""
-    twice = sum(x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in zip(poly, poly[1:] + poly[:1]))
-    return Fraction(twice, 2)
-
-
 def _clip(poly, axis: int, lo: int, hi: int):
     """Sutherland-Hodgman clip of an integer polygon to lo <= p[axis] <= hi.
 
@@ -133,18 +132,17 @@ def _clip(poly, axis: int, lo: int, hi: int):
 def _int_fragments(cell: Parallelogram) -> tuple[int, list[list[tuple[int, int]]]]:
     """A scale S and the cell's integer translates, times S, clipped to [0, S]^2.
 
-    S is the lcm of the coordinate denominators times the lcm of the nonzero
-    integer edge components (4*D*lcm(|a|, |b|, |c|, |d|) for partition
-    cells), so every crossing of a cell edge line with x or y in S*Z is an
-    integer. Each x-strip is clipped once and then cut by every y-shift that
-    reaches it; the fragments come out in (dx, dy) order with positive area.
+    S is the q of `_int_corners` times the lcm m of the nonzero integer edge
+    components over q (4*D*lcm(|a|, |b|, |c|, |d|) for partition cells), so
+    every crossing of a cell edge line with x or y in S*Z is an integer. Each
+    x-strip is clipped once and then cut by every y-shift that reaches it;
+    the fragments come out in (dx, dy) order with positive area.
     """
-    coords = (*cell.base, *cell.edge1, *cell.edge2)
-    q = math.lcm(*(v.denominator for v in coords))
-    s = q * math.lcm(*(v.numerator * (q // v.denominator) for v in coords[2:] if v))
-    bx, by, ux, uy, wx, wy = (v.numerator * (s // v.denominator) for v in coords)
-    corners = ((bx, by), (bx + ux, by + uy), (bx + wx, by + wy), (bx + ux + wx, by + uy + wy))
-    poly = _ccw(corners, ux * wy - uy * wx)
+    q, corners = _int_corners(cell)
+    bx, by = corners[0]
+    m = math.lcm(*(v for x, y in corners[1:3] for v in (x - bx, y - by) if v))
+    s = q * m
+    poly = _ccw([(x * m, y * m) for x, y in corners])
     xs = [x for x, _ in poly]
     frags = []
     for dx in range(-max(xs) // s, -((min(xs) - s) // s) + 1):
@@ -154,7 +152,7 @@ def _int_fragments(cell: Parallelogram) -> tuple[int, list[list[tuple[int, int]]
         ys = [y for _, y in strip]
         for dy in range(-max(ys) // s, -((min(ys) - s) // s) + 1):
             frag = _clip(strip, 1, -dy * s, s - dy * s)
-            if frag and polygon_area(frag) > 0:
+            if frag and _shoelace(frag) > 0:
                 frags.append([(x, y + dy * s) for x, y in frag])
     return s, frags
 

@@ -7,11 +7,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import EmptySet, UnsupportedFormat
 from .exact import format_rational
-from .partition import Parallelogram, cell_fragments, polygon_area
+from .partition import Parallelogram, _int_corners, _int_fragments, _shoelace
 
 FORMATS = ("ascii", "pbm", "svg", "json")
 
@@ -116,29 +115,26 @@ def parse_pbm(data: bytes) -> frozenset:
 # --- partitions ------------------------------------------------------------------
 
 
-def _fmt(v: Fraction, scale: int) -> str:
-    return f"{float(v * scale):.4f}".rstrip("0").rstrip(".")
+def _fmt(num: int, den: int) -> str:
+    """num/den to 4 decimals, trailing zeros dropped; int / int rounds correctly."""
+    return f"{num / den:.4f}".rstrip("0").rstrip(".")
 
 
 def _svg_partition(cells: list[Parallelogram], s: int) -> bytes:
+    """Every cell fragment, y up, each cell labelled at its largest fragment's vertex centroid."""
     body, labels = [], []
     for cell in cells:
         color = _PALETTE[cell.index % len(_PALETTE)]
-        best = None
-        for frag in cell_fragments(cell):
-            pts = " ".join(f"{_fmt(x, s)},{_fmt(1 - y, s)}" for x, y in frag)
-            body.append(
-                f'<polygon points="{pts}" fill="{color}" stroke="black" stroke-width="0.5"/>'
-            )
-            area = polygon_area(frag)
-            if best is None or area > best[0]:
-                centroid_x = sum(x for x, _ in frag) / len(frag)
-                centroid_y = sum(y for _, y in frag) / len(frag)
-                best = (area, centroid_x, centroid_y)
-        if best is not None:
-            _, cx, cy = best
+        unit, frags = _int_fragments(cell)
+        for frag in frags:
+            pts = " ".join(f"{_fmt(x * s, unit)},{_fmt((unit - y) * s, unit)}" for x, y in frag)
+            body.append(f'<polygon points="{pts}" fill="{color}" stroke="black" stroke-width="0.5"/>')
+        if frags:
+            frag = max(frags, key=_shoelace)
+            n = len(frag) * unit  # the centroid is (sum x, sum y) / n
+            cx, cy = sum(x for x, _ in frag), sum(y for _, y in frag)
             labels.append(
-                f'<text x="{_fmt(cx, s)}" y="{_fmt(1 - cy, s)}" font-size="{s // 20}" '
+                f'<text x="{_fmt(cx * s, n)}" y="{_fmt((n - cy) * s, n)}" font-size="{s // 20}" '
                 f'text-anchor="middle" dominant-baseline="middle">{cell.index}</text>'
             )
     return _svg(s, s, [*body, *labels, f'<rect width="{s}" height="{s}" fill="none" stroke="black"/>'])
@@ -149,14 +145,10 @@ def render_partition(cells: list[Parallelogram], opts: RenderOptions) -> bytes:
     if opts.format == "svg":
         return _svg_partition(cells, max(opts.scale, 64))
     if opts.format == "json":
-        payload = {
-            "cells": [
-                {
-                    **cell.to_json_dict(),
-                    "corners": [[format_rational(x), format_rational(y)] for x, y in cell.corners()],
-                }
-                for cell in cells
-            ]
-        }
-        return json_line(payload)
+        dicts = []
+        for cell in cells:
+            q, corners = _int_corners(cell)
+            corners = [[format_rational(x, q), format_rational(y, q)] for x, y in corners]
+            dicts.append({**cell.to_json_dict(), "corners": corners})
+        return json_line({"cells": dicts})
     raise UnsupportedFormat(f"partitions render as svg or json, not {opts.format!r}")

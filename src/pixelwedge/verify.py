@@ -70,6 +70,14 @@ _Q_BITS = 64
 _Q = 1 << _Q_BITS
 _HALF_Q = 1 << (_Q_BITS - 1)
 _CENTRE = (_HALF_Q | _HALF_Q << _Q_BITS).to_bytes(16, "little")  # the lane of (1/2, 1/2)
+_WIDE_KEY_WORK = 32  # what `sample_work` counts for a draw-by-draw sample (see cli.VERIFY_WORK_LIMIT)
+
+
+def _lanes_fit(a: int, b: int, c: int, d: int) -> bool:
+    """Whether a sample key alpha | beta << ka fits one 64-bit word, ka and kc
+    being the bit lengths of |a| + |b| and |c| + |d|; `_count_block` classifies
+    draw by draw where it does not."""
+    return (abs(a) + abs(b)).bit_length() + (abs(c) + abs(d)).bit_length() <= 64
 
 
 @dataclass(frozen=True)
@@ -156,7 +164,7 @@ def _count_block(slopes_tuple, seed, block, take):
     sa, sc = abs(a) + abs(b), abs(c) + abs(d)
     ha, hc = sa // 2, sc // 2  # key offsets: alpha + ha and beta + hc lie in [0, sa] and [0, sc]
     ka, kc = sa.bit_length(), sc.bit_length()  # bits of alpha and beta in a key
-    lanes_fit = ka + kc <= 64
+    lanes_fit = _lanes_fit(a, b, c, d)
     # lane value (ha + ceil(v / 2^64)) * 2^64 + r, 0 <= r < 2^64, for v = a*nx - b*ny
     off_a = (ha + 1) * _Q - 1 - (a - b) * _HALF_Q
     off_c = (hc + 1) * _Q - 1 - (c - d) * _HALF_Q
@@ -225,9 +233,11 @@ def sample_class_frequencies(
 
 
 def sample_work(slopes: Slopes, n: int) -> int:
-    """The n samples of `sample_class_frequencies` plus its merges of one
-    D-long count list per block."""
-    return n + slopes.count * -(-n // _BLOCK)
+    """The n samples of `sample_class_frequencies`, each counted
+    _WIDE_KEY_WORK times where keys are too wide for the lanes, plus its
+    merges of one D-long count list per block."""
+    weight = 1 if _lanes_fit(*slopes.as_tuple()) else _WIDE_KEY_WORK
+    return n * weight + slopes.count * -(-n // _BLOCK)
 
 
 def exact_class_areas(slopes: Slopes) -> list[Fraction]:

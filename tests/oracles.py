@@ -6,6 +6,11 @@ from pixelwedge.errors import PartitionBoundary
 from pixelwedge.partition import _int_fragments, partition_unit_square
 
 
+def polygon_area(poly):
+    """Signed shoelace area of a polygon, positive for counterclockwise."""
+    return Fraction(sum(x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in zip(poly, poly[1:] + poly[:1])), 2)
+
+
 def fraction_thresholds(spec):
     """(alpha, beta) by the Fraction formula a*(x0 - 1/2) - b*(y0 - 1/2)
     and c*(x0 - 1/2) - d*(y0 - 1/2) of the corner (x0, y0)."""

@@ -177,6 +177,19 @@ def test_verify_over_the_work_limit_is_refused_at_once():
         assert str(work).encode() in err and str(VERIFY_WORK_LIMIT).encode() in err
 
 
+def test_verify_work_weights_wide_key_samples():
+    # keys past 64 bits go draw by draw, ~10x slower a sample: counted as one
+    # sample each, 10**7 of them at D = 1 were admitted and ran ~26 s (2 CPUs)
+    from pixelwedge.cli import VERIFY_WORK_LIMIT
+    from pixelwedge.verify import _WIDE_KEY_WORK
+
+    big = 10**30
+    for samples in (10**7, 10**8):
+        err = refused_at_once("verify", "--slope1", f"{big}/{big + 1}", "--slope2", "1/1", "--samples", str(samples))
+        work = samples * _WIDE_KEY_WORK + -(-samples // 2**15)
+        assert str(work).encode() in err and str(VERIFY_WORK_LIMIT).encode() in err
+
+
 def test_verify_work_counts_one_class_merge_per_block():
     # D = 999001 is under the class limit, but each of the 306 blocks of 10**7
     # samples merges a D-long count list: ~0.1 s a block, ~30 s in all

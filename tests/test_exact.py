@@ -64,6 +64,24 @@ def test_rational_string_forms():
     assert parse_rational(format_rational(Fraction(22, 7))) == Fraction(22, 7)
 
 
+def test_format_rational_of_integer_parts():
+    assert format_rational(-4, 6) == "-2/3" and format_rational(-7) == "-7/1"
+    assert format_rational(0, 5) == "0/1" == format_rational(0)
+    assert format_rational(12, 4) == "3/1" and format_rational(6, 1) == "6/1"
+    assert format_rational(Fraction(3, 4), 6) == "1/8" and format_rational(Fraction(-3, 4)) == "-3/4"
+
+
+def test_format_rational_matches_fraction():
+    rng = random.Random(78)
+    for _ in range(3000):
+        bits = rng.choice((3, 20, 70, 300))
+        num = rng.randint(-(1 << bits), 1 << bits) * rng.choice((1, 6, 1 << 40))
+        den = rng.randint(1, 1 << bits) * rng.choice((1, 6, 1 << 40))
+        r = Fraction(num, den)
+        text = f"{r.numerator}/{r.denominator}"
+        assert format_rational(num, den) == text == format_rational(r), (num, den)
+
+
 def test_zero_denominator_is_value_error():
     for text in ("1/0", " -3/0 ", "0/0"):
         with pytest.raises(ValueError, match="zero denominator"):

@@ -15,11 +15,11 @@ from pixelwedge import (
     class_index,
     partition_unit_square,
 )
-from pixelwedge.partition import cell_bases, fragment_bound, polygon_area
+from pixelwedge.partition import cell_bases, fragment_bound
 from pixelwedge.verify import coprime_pairs
 
 from conftest import slopes_st
-from oracles import FragmentLocator
+from oracles import FragmentLocator, polygon_area
 
 F = Fraction
 
@@ -229,16 +229,28 @@ def test_fragments_equal_fraction_clipper_vertex_for_vertex():
             assert cell_fragments(cell) == _ref_cell_fragments(cell), (slopes, cell.index)
 
 
+# cells that are not partition cells: other denominators, axis-parallel
+# and degenerate edges
+OFF_PARTITION = [
+    Parallelogram(0, (F(1, 3), F(2, 7)), (F(2, 5), F(1, 3)), (F(-1, 6), F(3, 4))),
+    Parallelogram(1, (F(-5, 4), F(9, 8)), (F(3, 2), F(0)), (F(0), F(-7, 3))),
+    Parallelogram(2, (F(0), F(0)), (F(1), F(0)), (F(0), F(1))),
+    Parallelogram(3, (F(1, 2), F(1, 3)), (F(1, 4), F(1, 4)), (F(-1, 2), F(-1, 2))),
+]
+
+
 def test_fragments_equal_fraction_clipper_off_partition():
-    # cells that are not partition cells: other denominators, axis-parallel
-    # and degenerate edges
-    for cell in (
-        Parallelogram(0, (F(1, 3), F(2, 7)), (F(2, 5), F(1, 3)), (F(-1, 6), F(3, 4))),
-        Parallelogram(1, (F(-5, 4), F(9, 8)), (F(3, 2), F(0)), (F(0), F(-7, 3))),
-        Parallelogram(2, (F(0), F(0)), (F(1), F(0)), (F(0), F(1))),
-        Parallelogram(3, (F(1, 2), F(1, 3)), (F(1, 4), F(1, 4)), (F(-1, 2), F(-1, 2))),
-    ):
+    for cell in OFF_PARTITION:
         assert cell_fragments(cell) == _ref_cell_fragments(cell), cell
+
+
+def test_corners_equal_fraction_sums():
+    # corners() comes from the integer form over the lcm of the denominators
+    for cell in OFF_PARTITION + partition_unit_square(Q_SLOPES) + partition_unit_square(Slopes(6, 5, 9, 7)):
+        (bx, by), (ux, uy), (wx, wy) = cell.base, cell.edge1, cell.edge2
+        corners = cell.corners()
+        assert corners == ((bx, by), (bx + ux, by + uy), (bx + wx, by + wy), (bx + ux + wx, by + uy + wy)), cell
+        assert all(type(v) is Fraction for p in corners for v in p)
 
 
 def test_fragment_areas_over_sweep():

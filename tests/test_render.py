@@ -125,6 +125,22 @@ def test_partition_json_exact():
     assert '"1/10"' in out and '"edge1"' in out
 
 
+def test_partition_output_builds_no_fraction(monkeypatch):
+    # both formats are written from each cell's integer form; Fraction.__new__
+    # sees every constructor call, and before Python 3.12 every arithmetic result
+    from fractions import Fraction
+
+    cells = partition_unit_square(Slopes(7, 2, -5, 3)) + partition_unit_square(Slopes(6, 5, 9, 7))
+    built = []
+    new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(lambda cls, *a, **k: built.append(a) or new(cls, *a, **k)))
+    assert Fraction(1, 2) + 1 == Fraction(3, 2) and built
+    built.clear()
+    for fmt in ("json", "svg"):
+        assert render_partition(cells, RenderOptions(format=fmt))
+    assert built == []
+
+
 def test_partition_rejects_ascii():
     with pytest.raises(UnsupportedFormat):
         render_partition(partition_unit_square(P_SLOPES), RenderOptions(format="ascii"))
