@@ -1,20 +1,21 @@
 """Command-line front end.
 
-Every run is reproducible from its flags alone: no config files, exact
-rational inputs, deterministic output bytes. Exit codes: 0 success, 1 domain
-error (parallel slopes, pixel-center hits, work over a limit, ...) or a failing
-sweep, whose report is still written, 2 usage error.
+Every run is reproducible from its flags alone: no config file or environment
+variable, exact rational inputs, deterministic output bytes. Each subcommand's
+handler bounds its work (`_within`) and does all that can raise before `main`
+writes a byte. Exit codes: 0 success, 1 domain error (parallel slopes,
+pixel-center hits, work over a limit, ...) or a failing sweep, whose report is
+still written, 2 usage error.
 """
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from fractions import Fraction
 
 from .digitize import AngleSpec, Slopes, digitize_angle_path, path_vertex_bound
-from .errors import DomainError, UnsupportedFormat
+from .errors import DomainError
 from .exact import check_rational_text, format_rational, parse_rational
 from .partition import fragment_bound, partition_unit_square
 from .render import RenderOptions, json_line, render_partition, render_pixelset
@@ -39,7 +40,8 @@ VERIFY_WORK_LIMIT = 100_000_000
 # `render` draws one (2w+1)**2 box at its own w, and is held to the same limit
 ENUMERATE_PIXEL_LIMIT = 10_000_000
 # `partition` writes D cells (json) or every cell's pieces (svg, see fragment_bound);
-# near 10**5, json took ~4 s at D = 99999 and svg ~2 s at D = 24965 (99860 pieces) on 2 CPUs
+# near 10**5, json took ~4 s at D = 99999, and svg ~3 s and 110 MB for the one thin
+# cell of 24999/24998, 25000/24999 (bound 100000, 99998 pieces) on 2 CPUs
 PARTITION_PIECE_LIMIT = 100_000
 # `digitize` traces up to `path_vertex_bound` vertices; 10**5 take ~5 s on 2 CPUs
 DIGITIZE_VERTEX_LIMIT = 100_000
@@ -73,10 +75,7 @@ def parse_slope_pair(text: str) -> tuple[int, int]:
 
 
 def parse_corner(text: str) -> tuple[Fraction, Fraction]:
-    try:
-        x, y = text.split(",", 1)
-    except ValueError:
-        raise ValueError(f"corner must be 'x,y', got {text!r}") from None
+    x, y = text.split(",", 1)  # argparse reports any ValueError as an invalid --corner
     return parse_rational(_bounded(x)), parse_rational(_bounded(y))
 
 
@@ -90,17 +89,6 @@ def positive_int(text: str) -> int:
     return n
 
 
-def _spec(args) -> AngleSpec:
-    (a, b), (c, d) = args.slope1, args.slope2
-    x, y = args.corner
-    return AngleSpec(a, b, c, d, (x, y))
-
-
-def _slopes(args) -> Slopes:
-    (a, b), (c, d) = args.slope1, args.slope2
-    return Slopes(a, b, c, d)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pixelwedge",
@@ -108,8 +96,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_, *, corner=False, window=False, seeded=False, formats=("ascii", "json"), default_format="ascii"):
+    def add(name, help_, run, *, corner=False, window=False, seeded=False, formats=("ascii", "json"), default_format="ascii"):
         p = sub.add_parser(name, help=help_)
+        p.set_defaults(run=run)
         p.add_argument("--slope1", type=parse_slope_pair, required=True, metavar="a/b")
         p.add_argument("--slope2", type=parse_slope_pair, required=True, metavar="c/d")
         if corner:
@@ -123,20 +112,21 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, metavar="PATH")
         return p
 
-    add("digitize", "digitize the angular path at the corner", corner=True,
+    add("digitize", "digitize the angular path at the corner", _digitize, corner=True,
         window=True, formats=("json",), default_format="json").set_defaults(window=8)
-    add("classify", "shape class of the digitized angle at the corner", corner=True)
-    add("enumerate", "all shape classes of a slope pair", window=True)
-    add("partition", "unit-square partition of corner positions by class",
+    add("classify", "shape class of the digitized angle at the corner", _classify, corner=True)
+    add("enumerate", "all shape classes of a slope pair", _enumerate, window=True)
+    add("partition", "unit-square partition of corner positions by class", _partition,
         formats=("svg", "json"), default_format="svg")
-    add("verify", "Monte Carlo uniformity check of class frequencies", seeded=True)
-    add("render", "render the digitized angle at one corner", corner=True,
+    add("verify", "Monte Carlo uniformity check of class frequencies", _verify, seeded=True)
+    add("render", "render the digitized angle at one corner", _render, corner=True,
         window=True, formats=("ascii", "pbm", "svg", "json"))
 
     sweep = sub.add_parser("sweep", help="exhaustive small-slope shape-count check")
     sweep.add_argument("max_shapes", type=positive_int, nargs="?", default=8)
     sweep.add_argument("--format", choices=("ascii", "json"), default="ascii")
     sweep.add_argument("--out", default=None, metavar="PATH")
+    sweep.set_defaults(run=_sweep)
     return parser
 
 
@@ -162,83 +152,85 @@ def _within(limit: int, estimate: int, claim: str) -> None:
         raise DomainError(f"{claim}, over the limit of {limit}")
 
 
-def _run(args) -> tuple[bytes, int]:
-    """The answer's bytes and the exit code to return once they are written."""
-    if args.command == "digitize":
-        spec = _spec(args)
-        vertices = path_vertex_bound(spec.slopes, args.window)
-        _within(DIGITIZE_VERTEX_LIMIT, vertices, f"digitize would trace up to {vertices} path vertices")
-        return json_line(digitize_angle_path(spec, args.window)), 0
+def _digitize(args) -> tuple[bytes, int]:
+    spec = AngleSpec(*args.slope1, *args.slope2, args.corner)
+    vertices = path_vertex_bound(spec.slopes, args.window)
+    _within(DIGITIZE_VERTEX_LIMIT, vertices, f"digitize would trace up to {vertices} path vertices")
+    return json_line(digitize_angle_path(spec, args.window)), 0
 
-    if args.command == "classify":
-        spec = _spec(args)
-        j = class_index(spec)
-        d = spec.count
-        if args.format == "json":
-            p = region_params(spec)
-            payload = {
-                "slopes": [spec.a, spec.b, spec.c, spec.d],
-                "corner": [format_rational(spec.corner[0]), format_rational(spec.corner[1])],
-                "alpha": format_rational(p.alpha),
-                "beta": format_rational(p.beta),
-                "alpha_ceil": p.alpha_ceil,
-                "beta_ceil": p.beta_ceil,
-                "index": j,
-                "classes": d,
-            }
-            return json_line(payload), 0
-        return f"class {j} of {d}\n".encode(), 0
 
-    if args.command == "enumerate":
-        slopes = _slopes(args)
-        w = default_window(slopes) if args.window is None else args.window
-        pixels = slopes.count * (2 * separating_window(slopes, w) + 1) ** 2
-        _within(ENUMERATE_PIXEL_LIMIT, pixels, f"enumerate would build up to {pixels} bitmap pixels")
-        shapes = enumerate_shapes(slopes, w)
-        if args.format == "json":
-            return json_line([s.to_json_dict() for s in shapes]), 0
-        blocks = []
-        for s in shapes:
-            art = render_pixelset(s.bitmap, RenderOptions(format="ascii")).decode()
-            blocks.append(f"class {s.index} of {len(shapes)}:\n{art}")
-        return "\n".join(blocks).encode(), 0
+def _classify(args) -> tuple[bytes, int]:
+    spec = AngleSpec(*args.slope1, *args.slope2, args.corner)
+    j = class_index(spec)
+    d = spec.count
+    if args.format == "json":
+        p = region_params(spec)
+        payload = {
+            "slopes": [spec.a, spec.b, spec.c, spec.d],
+            "corner": [format_rational(spec.corner[0]), format_rational(spec.corner[1])],
+            "alpha": format_rational(p.alpha),
+            "beta": format_rational(p.beta),
+            "alpha_ceil": p.alpha_ceil,
+            "beta_ceil": p.beta_ceil,
+            "index": j,
+            "classes": d,
+        }
+        return json_line(payload), 0
+    return f"class {j} of {d}\n".encode(), 0
 
-    if args.command == "partition":
-        slopes = _slopes(args)
-        pieces = slopes.count if args.format == "json" else fragment_bound(slopes)
-        _within(PARTITION_PIECE_LIMIT, pieces,
-                f"partition --format {args.format} would write up to {pieces} polygons")
-        cells = partition_unit_square(slopes)
-        return render_partition(cells, RenderOptions(format=args.format, scale=512)), 0
 
-    if args.command == "verify":
-        slopes = _slopes(args)
-        _within(VERIFY_CLASS_LIMIT, slopes.count, f"verify would count {slopes.count} shape classes")
-        work = sample_work(slopes, args.samples)
-        _within(VERIFY_WORK_LIMIT, work, f"verify would draw and merge {work} samples and class counts")
-        hist = sample_class_frequencies(slopes, args.samples, args.seed)
-        if args.format == "json":
-            return json_line(hist.to_json_dict()), 0
-        return (hist.table() + "\n").encode(), 0
+def _enumerate(args) -> tuple[bytes, int]:
+    slopes = Slopes(*args.slope1, *args.slope2)
+    w = default_window(slopes) if args.window is None else args.window
+    pixels = slopes.count * (2 * separating_window(slopes, w) + 1) ** 2
+    _within(ENUMERATE_PIXEL_LIMIT, pixels, f"enumerate would build up to {pixels} bitmap pixels")
+    shapes = enumerate_shapes(slopes, w)
+    if args.format == "json":
+        return json_line([s.to_json_dict() for s in shapes]), 0
+    blocks = []
+    for s in shapes:
+        art = render_pixelset(s.bitmap, RenderOptions(format="ascii")).decode()
+        blocks.append(f"class {s.index} of {len(shapes)}:\n{art}")
+    return "\n".join(blocks).encode(), 0
 
-    if args.command == "sweep":
-        # past 10**6 the count (monotone in N) stops at 10**6 and is a lower bound
-        pairs = sweep_pair_estimate(min(args.max_shapes, 10**6))
-        _within(SWEEP_PAIR_LIMIT, pairs, f"sweep {args.max_shapes} would scan at least {pairs} slope pairs")
-        report = theorem_sweep(args.max_shapes)
-        if args.format == "json":  # a failing sweep writes its report, then exits 1
-            return json_line(report.to_json_dict()), int(not report.ok)
-        return (report.table() + "\n").encode(), int(not report.ok)
 
-    if args.command == "render":
-        spec = _spec(args)
-        w = default_window(spec.slopes) if args.window is None else args.window
-        pixels = (2 * w + 1) ** 2
-        _within(ENUMERATE_PIXEL_LIMIT, pixels, f"render would draw up to {pixels} box pixels")
-        shape = shape_of_spec(spec, w)
-        return render_pixelset(shape.bitmap, RenderOptions(format=args.format)), 0
+def _partition(args) -> tuple[bytes, int]:
+    slopes = Slopes(*args.slope1, *args.slope2)
+    pieces = slopes.count if args.format == "json" else fragment_bound(slopes)
+    _within(PARTITION_PIECE_LIMIT, pieces,
+            f"partition --format {args.format} would write up to {pieces} polygons")
+    cells = partition_unit_square(slopes)
+    return render_partition(cells, RenderOptions(format=args.format, scale=512)), 0
 
-    raise AssertionError(args.command)
+
+def _verify(args) -> tuple[bytes, int]:
+    slopes = Slopes(*args.slope1, *args.slope2)
+    _within(VERIFY_CLASS_LIMIT, slopes.count, f"verify would count {slopes.count} shape classes")
+    work = sample_work(slopes, args.samples)
+    _within(VERIFY_WORK_LIMIT, work, f"verify would draw and merge {work} samples and class counts")
+    hist = sample_class_frequencies(slopes, args.samples, args.seed)
+    if args.format == "json":
+        return json_line(hist.to_json_dict()), 0
+    return (hist.table() + "\n").encode(), 0
+
+
+def _sweep(args) -> tuple[bytes, int]:
+    # past 10**6 the count (monotone in N) stops at 10**6 and is a lower bound
+    pairs = sweep_pair_estimate(min(args.max_shapes, 10**6))
+    _within(SWEEP_PAIR_LIMIT, pairs, f"sweep {args.max_shapes} would scan at least {pairs} slope pairs")
+    report = theorem_sweep(args.max_shapes)
+    if args.format == "json":  # a failing sweep writes its report, then exits 1
+        return json_line(report.to_json_dict()), int(not report.ok)
+    return (report.table() + "\n").encode(), int(not report.ok)
+
+
+def _render(args) -> tuple[bytes, int]:
+    spec = AngleSpec(*args.slope1, *args.slope2, args.corner)
+    w = default_window(spec.slopes) if args.window is None else args.window
+    pixels = (2 * w + 1) ** 2
+    _within(ENUMERATE_PIXEL_LIMIT, pixels, f"render would draw up to {pixels} box pixels")
+    shape = shape_of_spec(spec, w)
+    return render_pixelset(shape.bitmap, RenderOptions(format=args.format)), 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -249,22 +241,16 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse reports usage errors itself
         return int(exc.code or 0)
     try:
-        data, code = _run(args)
-    except UnsupportedFormat as exc:
-        print(f"pixelwedge: {exc}", file=sys.stderr)
-        return 2
-    except (DomainError, ValueError) as exc:
+        data, code = args.run(args)
+    except DomainError as exc:
         print(f"pixelwedge: {exc}", file=sys.stderr)
         return 1
     if args.out:
-        # PIXELWEDGE_OUT_DIR supplies the default directory for relative paths
-        base = os.environ.get("PIXELWEDGE_OUT_DIR", "")
-        path = args.out if os.path.isabs(args.out) or not base else os.path.join(base, args.out)
         try:
-            with open(path, "wb") as fh:
+            with open(args.out, "wb") as fh:
                 fh.write(data)
         except OSError as exc:
-            print(f"pixelwedge: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+            print(f"pixelwedge: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
             return 1
     else:
         sys.stdout.buffer.write(data)

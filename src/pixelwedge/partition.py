@@ -158,14 +158,24 @@ def _int_fragments(cell: Parallelogram) -> tuple[int, list[list[tuple[int, int]]
 
 
 def fragment_bound(slopes: Slopes) -> int:
-    """An upper bound on the fragments of all D cells together.
+    """An upper bound on the fragments of all D cells together:
+    D * ((|b| + |d|)//D + (|a| + |c|)//D + 4).
 
-    Every cell spans (|b| + |d|)/D in x and (|a| + |c|)/D in y, so it meets
-    at most (|b| + |d|)//D + 2 unit columns and (|a| + |c|)//D + 2 unit rows.
+    A cell's fragments are the pieces the unit lines x, y in Z cut it into.
+    k vertical and l horizontal lines through the interior of a convex cell
+    cut it into at most 1 + k + l + p pieces, where p counts the integer
+    points (the crossings of those lines) inside the cell: each line adds one
+    piece, plus one for each earlier line it crosses inside. The cell spans
+    (|b| + |d|)/D in x, and an open interval of length s holds at most
+    floor(s) + 1 integers, so k <= (|b| + |d|)//D + 1; likewise
+    l <= (|a| + |c|)//D + 1. And p <= 1: the cell is a fundamental domain of
+    the lattice spanned by its edges, which contains Z^2, so two integer
+    points inside it would differ by a lattice vector, which no two points
+    of one open cell do.
     """
     a, b, c, d = slopes.as_tuple()
     D = slopes.count
-    return D * ((abs(b) + abs(d)) // D + 2) * ((abs(a) + abs(c)) // D + 2)
+    return D * ((abs(b) + abs(d)) // D + (abs(a) + abs(c)) // D + 4)
 
 
 def cell_fragments(cell: Parallelogram) -> list[list[Point]]:

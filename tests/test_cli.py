@@ -98,17 +98,6 @@ def test_partition_svg_and_out_file(tmp_path):
     assert out.read_bytes().startswith(b"<svg")
 
 
-def test_out_dir_env_var(tmp_path):
-    env = dict(**__import__("os").environ, PIXELWEDGE_OUT_DIR=str(tmp_path))
-    r = subprocess.run(
-        BASE + ["partition", "--slope1", "2/1", "--slope2", "-3/1", "--out", "p.json",
-                "--format", "json"],
-        capture_output=True, env=env, timeout=120,
-    )
-    assert r.returncode == 0
-    assert (tmp_path / "p.json").exists()
-
-
 def test_render_pbm():
     r = run("render", "--slope1", "2/1", "--slope2", "-3/1", "--corner", "1/2,1/2",
             "--window", "3", "--format", "pbm")
@@ -144,6 +133,16 @@ def test_out_into_missing_directory_is_one_line_refusal(tmp_path):
     assert r.returncode == 1
     assert r.stdout == b""
     assert r.stderr.startswith(b"pixelwedge: ") and r.stderr.count(b"\n") == 1
+
+
+def test_refusal_leaves_no_out_file(tmp_path):
+    # one refused at the work gate, one by a domain error after it
+    spec = ("--slope2", "-3/1", "--corner", "1/2,1/2")
+    for argv in (("partition", "--slope1", "1e30", "--slope2", "-3/1"), ("digitize", "--slope1", "2/1", *spec)):
+        out = tmp_path / f"{argv[0]}.out"
+        r = run(*argv, "--out", str(out))
+        assert r.returncode == 1 and r.stdout == b"", argv
+        assert r.stderr.startswith(b"pixelwedge: ") and not out.exists(), argv
 
 
 def test_verify_over_the_class_limit_is_refused_at_once():
@@ -240,16 +239,28 @@ def test_partition_over_the_piece_limit_is_refused_at_once():
     d = 10**30 + 3
     err = refused_at_once("partition", "--slope1", "1e30", "--slope2", "-3/1", "--format", "json")
     assert str(d).encode() in err and limit in err
-    # svg draws each cell's pieces in the unit squares it crosses: 2 * 3 here
+    # svg draws each cell's pieces in the unit squares it crosses, at most
+    # 0 + 1 + 4 here (`fragment_bound`)
     err = refused_at_once("partition", "--slope1", "1e30", "--slope2", "-3/1", "--format", "svg")
-    assert str(6 * d).encode() in err and limit in err
+    assert str(5 * d).encode() in err and limit in err
     # D = 1, but the one cell is 1 wide and 10**6 + 1 high: its svg cuts it
     # at every seam it crosses, while its json is one cell
     err = refused_at_once("partition", "--slope1", "1/0", "--slope2", "1e6", "--format", "svg")
-    assert str(3 * (10**6 + 3)).encode() in err and limit in err
+    assert str(1 + 10**6 + 1 + 4).encode() in err and limit in err
+    # a cell 10**5 + 1 high is still bounded over the limit
+    err = refused_at_once("partition", "--slope1", "1/0", "--slope2", "1e5", "--format", "svg")
+    assert b"100006" in err and limit in err
     r = subprocess.run(BASE + ["partition", "--slope1", "1/0", "--slope2", "1e6", "--format", "json"],
                        capture_output=True, timeout=5)
     assert r.returncode == 0 and len(json.loads(r.stdout)["cells"]) == 1
+
+
+def test_partition_svg_of_a_thin_cell_is_answered():
+    # D = 1, and the one cell crosses 399 unit columns and 401 unit rows in
+    # 802 pieces: far under the limit, though the product of its spans is not
+    r = run("partition", "--slope1", "200/199", "--slope2", "201/200", "--format", "svg")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.startswith(b"<svg") and r.stdout.count(b"<polygon") == 802
 
 
 def test_render_over_the_pixel_limit_is_refused_at_once():
