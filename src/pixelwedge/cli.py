@@ -5,7 +5,7 @@ variable, exact rational inputs, deterministic output bytes. Each subcommand's
 handler bounds its work (`_within`) and does all that can raise before `main`
 writes a byte. Exit codes: 0 success, 1 domain error (parallel slopes,
 pixel-center hits, work over a limit, ...) or a failing sweep, whose report is
-still written, 2 usage error.
+still written, 2 usage error, whose message names the flag and its reason.
 """
 from __future__ import annotations
 
@@ -16,11 +16,11 @@ from fractions import Fraction
 
 from .digitize import AngleSpec, Slopes, digitize_angle_path, path_vertex_bound
 from .errors import DomainError
-from .exact import check_rational_text, format_rational, parse_rational
+from .exact import format_rational, parse_ratio, parse_rational
 from .partition import fragment_bound, partition_unit_square
 from .render import RenderOptions, json_line, render_partition, render_pixelset
 from .shapes import class_index, default_window, enumerate_shapes, region_params, separating_window, shape_of_spec
-from .verify import sample_class_frequencies, sample_work, sweep_pair_estimate, theorem_sweep
+from .verify import coprime_pairs, sample_class_frequencies, sample_work, theorem_sweep
 
 _VALUE_FLAGS = ("--slope1", "--slope2", "--corner")
 # `sweep N` scans ~N**4 slope pairs; this admits N <= 19 (921600 pairs, ~20 s on 2 CPUs)
@@ -43,31 +43,16 @@ ENUMERATE_PIXEL_LIMIT = 10_000_000
 # near 10**5, json took ~4 s at D = 99999, and svg ~3 s and 110 MB for the one thin
 # cell of 24999/24998, 25000/24999 (bound 100000, 99998 pieces) on 2 CPUs
 PARTITION_PIECE_LIMIT = 100_000
-# `digitize` traces up to `path_vertex_bound` vertices; 10**5 take ~5 s on 2 CPUs
+# `digitize` traces up to `path_vertex_bound` vertices; near 10**5 (99186 for 2/1, -3/1
+# at --window 35000) a run took ~3.8 s with --corner 0.1,0.71 and ~5.0 s with a 300-character
+# x coordinate on 2 CPUs: the cost per vertex grows with the corner's text
 DIGITIZE_VERTEX_LIMIT = 100_000
 
 
-def _bounded(text: str) -> str:
-    """`check_rational_text`, refusing as a usage error that names the limit."""
-    try:
-        return check_rational_text(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
 def parse_slope_pair(text: str) -> tuple[int, int]:
-    """Parse "p/q" (signs of p and q both kept) or an exact decimal/integer.
-
-    The written orientation matters: (3, -1) and (-3, 1) select opposite
-    half-planes, so reduction divides by the positive gcd only.
-    """
-    text = _bounded(text)
-    if "/" in text:
-        num, den = text.split("/", 1)
-        p, q = int(num), int(den)
-    else:
-        f = parse_rational(text)
-        p, q = f.numerator, f.denominator
+    """`parse_ratio`'s parts over their positive gcd: the written orientation
+    matters, as (3, -1) and (-3, 1) select opposite half-planes."""
+    p, q = parse_ratio(text)
     if p == 0 and q == 0:
         raise ValueError("slope 0/0 is not a direction")
     g = math.gcd(p, q)
@@ -75,18 +60,30 @@ def parse_slope_pair(text: str) -> tuple[int, int]:
 
 
 def parse_corner(text: str) -> tuple[Fraction, Fraction]:
-    x, y = text.split(",", 1)  # argparse reports any ValueError as an invalid --corner
-    return parse_rational(_bounded(x)), parse_rational(_bounded(y))
+    x, comma, y = text.partition(",")
+    if not comma:
+        raise ValueError(f"corner {text!r} is not x,y")
+    return parse_rational(x), parse_rational(y)
 
 
 def positive_int(text: str) -> int:
     try:
         n = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise ValueError(f"invalid int value: {text!r}") from None
     if n < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+        raise ValueError(f"must be >= 1, got {n}")
     return n
+
+
+def _usage(parse):
+    """`parse` as an argparse type whose ValueError is a usage error naming its reason."""
+    def read(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return read
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -99,14 +96,14 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, help_, run, *, corner=False, window=False, seeded=False, formats=("ascii", "json"), default_format="ascii"):
         p = sub.add_parser(name, help=help_)
         p.set_defaults(run=run)
-        p.add_argument("--slope1", type=parse_slope_pair, required=True, metavar="a/b")
-        p.add_argument("--slope2", type=parse_slope_pair, required=True, metavar="c/d")
+        p.add_argument("--slope1", type=_usage(parse_slope_pair), required=True, metavar="a/b")
+        p.add_argument("--slope2", type=_usage(parse_slope_pair), required=True, metavar="c/d")
         if corner:
-            p.add_argument("--corner", type=parse_corner, required=True, metavar="x,y")
+            p.add_argument("--corner", type=_usage(parse_corner), required=True, metavar="x,y")
         if window:
-            p.add_argument("--window", type=positive_int, default=None, metavar="W")
+            p.add_argument("--window", type=_usage(positive_int), default=None, metavar="W")
         if seeded:
-            p.add_argument("--samples", type=positive_int, default=100000, metavar="N")
+            p.add_argument("--samples", type=_usage(positive_int), default=100000, metavar="N")
             p.add_argument("--seed", type=int, default=0, metavar="S")
         p.add_argument("--format", choices=formats, default=default_format)
         p.add_argument("--out", default=None, metavar="PATH")
@@ -123,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
         window=True, formats=("ascii", "pbm", "svg", "json"))
 
     sweep = sub.add_parser("sweep", help="exhaustive small-slope shape-count check")
-    sweep.add_argument("max_shapes", type=positive_int, nargs="?", default=8)
+    sweep.add_argument("max_shapes", type=_usage(positive_int), nargs="?", default=8)
     sweep.add_argument("--format", choices=("ascii", "json"), default="ascii")
     sweep.add_argument("--out", default=None, metavar="PATH")
     sweep.set_defaults(run=_sweep)
@@ -215,8 +212,10 @@ def _verify(args) -> tuple[bytes, int]:
 
 
 def _sweep(args) -> tuple[bytes, int]:
-    # past 10**6 the count (monotone in N) stops at 10**6 and is a lower bound
-    pairs = sweep_pair_estimate(min(args.max_shapes, 10**6))
+    n = pairs = 0  # pairs up to n = N, stopping at the first n over the limit (a lower bound)
+    while n < args.max_shapes and pairs <= SWEEP_PAIR_LIMIT:
+        n += 1
+        pairs = len(coprime_pairs(n)) ** 2
     _within(SWEEP_PAIR_LIMIT, pairs, f"sweep {args.max_shapes} would scan at least {pairs} slope pairs")
     report = theorem_sweep(args.max_shapes)
     if args.format == "json":  # a failing sweep writes its report, then exits 1

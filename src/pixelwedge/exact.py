@@ -1,9 +1,9 @@
 """Exact rational arithmetic and the small number theory the geometry needs.
 
-Rationals are parsed to `fractions.Fraction` and written as "num/den" at the
-text edges. In between, the kernels compute on plain ints: a point is the
-integer triple of `common_denominator`. No floating point enters any
-predicate.
+Rational text is read by one grammar, `parse_ratio`, and written as
+"num/den" at the text edges. In between, the kernels compute on plain
+ints: a point is the integer triple of `common_denominator`. No floating
+point enters any predicate.
 """
 from __future__ import annotations
 
@@ -47,10 +47,12 @@ def common_denominator(x: Fraction, y: Fraction) -> tuple[int, int, int]:
 TEXT_LIMIT = 300
 
 
-def check_rational_text(text: str) -> str:
-    """`text` stripped; ValueError if it is longer than TEXT_LIMIT characters
-    or carries a decimal exponent past +-TEXT_LIMIT. Reads no number longer
-    than the text, so it is safe to call before Fraction or int."""
+def parse_ratio(text: str) -> tuple[int, int]:
+    """The parts (p, q) of one rational's text, for slopes and corners alike:
+    "p/q" gives its parts as written, each read by int() ("1/-2" -> (1, -2),
+    q may be 0), a decimal or integer its least terms by Fraction's exact
+    parser ("0.1" -> (1, 10)). ValueError on malformed text, and first on
+    text over TEXT_LIMIT characters or with an exponent past +-TEXT_LIMIT."""
     text = text.strip()
     if len(text) > TEXT_LIMIT:
         raise ValueError(f"rational text of {len(text)} characters, over the limit of {TEXT_LIMIT}")
@@ -58,21 +60,19 @@ def check_rational_text(text: str) -> str:
     digits = exponent.lstrip("+-").replace("_", "")
     if digits.isdecimal() and int(digits) > TEXT_LIMIT:
         raise ValueError(f"decimal exponent {exponent}, past the limit of +-{TEXT_LIMIT}")
-    return text
+    num, slash, den = text.partition("/")
+    try:
+        return (int(num), int(den)) if slash else Fraction(text).as_integer_ratio()
+    except ValueError:
+        raise ValueError(f"{text!r} is not a rational p/q or decimal") from None
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "num/den" or a decimal literal to an exact Fraction.
-
-    Fraction's own string parser is exact for both forms ("0.1" -> 1/10);
-    no float is ever constructed. Text past `check_rational_text`'s limits,
-    a zero denominator and any other malformed text raise ValueError.
-    """
-    text = check_rational_text(text)
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
+    """The value of `parse_ratio`'s parts; ValueError on a zero denominator too."""
+    p, q = parse_ratio(text)
+    if q == 0:
+        raise ValueError(f"zero denominator in {text.strip()!r}")
+    return Fraction(p, q)
 
 
 def format_rational(num: Fraction | int, den: int = 1) -> str:

@@ -318,26 +318,6 @@ def coprime_pairs(bound: int) -> list[tuple[int, int]]:
     ]
 
 
-def sweep_pair_estimate(bound: int) -> int:
-    """len(coprime_pairs(bound)) ** 2 for bound >= 1, the slope pairs a sweep
-    scans, in O(bound**0.75) steps: four quadrants plus (0, +-1) and (+-1, 0)."""
-    memo: dict[int, int] = {}
-
-    def quadrant(n: int) -> int:
-        """#{1 <= p, q <= n : gcd(p, q) = 1}: the n*n pairs less, for each
-        g >= 2, the quadrant(n // g) pairs with gcd g."""
-        if n not in memo:
-            total, g = n * n, 2
-            while g <= n:
-                last = n // (n // g)  # every g in [g, last] has the same n // g
-                total -= (last - g + 1) * quadrant(n // g)
-                g = last + 1
-            memo[n] = total
-        return memo[n]
-
-    return (4 * quadrant(bound) + 4) ** 2
-
-
 @dataclass(frozen=True)
 class SweepEntry:
     slopes: tuple[int, int, int, int]

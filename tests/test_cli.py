@@ -79,16 +79,29 @@ def test_sweep_default_and_json():
 
 def test_sweep_over_the_pair_limit_is_refused_at_once():
     from pixelwedge.cli import SWEEP_PAIR_LIMIT
-    from pixelwedge.verify import sweep_pair_estimate
+    from pixelwedge.verify import coprime_pairs
 
-    assert sweep_pair_estimate(19) <= SWEEP_PAIR_LIMIT < sweep_pair_estimate(20)
-    # raises TimeoutExpired, and kills the run, if it takes a second
+    assert len(coprime_pairs(19)) ** 2 <= SWEEP_PAIR_LIMIT < len(coprime_pairs(20)) ** 2
+    # raises TimeoutExpired, and kills the run, if it takes a second; the gate
+    # counts up to the first bound over the limit, n = 20, a lower bound for 400
     r = subprocess.run(BASE + ["sweep", "400"], capture_output=True, timeout=1)
     assert r.returncode == 1 and r.stdout == b""
-    assert b"151651051776" in r.stderr and str(SWEEP_PAIR_LIMIT).encode() in r.stderr
-    # a bound far past the cheap count is refused as fast
+    assert b"1048576" in r.stderr and str(SWEEP_PAIR_LIMIT).encode() in r.stderr
+    # a bound far past the first one over the limit is refused as fast
     r = subprocess.run(BASE + ["sweep", "1" + "0" * 30], capture_output=True, timeout=1)
     assert r.returncode == 1 and r.stdout == b""
+
+
+def test_sweep_gate_counts_the_sweeps_own_pairs(monkeypatch, capsysbinary):
+    # len(coprime_pairs(n)) ** 2 is 1024 at n = 3 and 2304 at n = 4
+    from pixelwedge import cli
+
+    monkeypatch.setattr(cli, "SWEEP_PAIR_LIMIT", 1024)
+    assert cli.main(["sweep", "3"]) == 0
+    assert capsysbinary.readouterr().out.endswith(b"PASS\n")
+    assert cli.main(["sweep", "4"]) == 1
+    refusal = b"pixelwedge: sweep 4 would scan at least 2304 slope pairs, over the limit of 1024\n"
+    assert capsysbinary.readouterr() == (b"", refusal)
 
 
 def test_partition_svg_and_out_file(tmp_path):
@@ -338,6 +351,38 @@ def test_zero_denominator_corner_is_usage_error():
         assert r.returncode == 2, corner
         assert r.stdout == b"" and b"Traceback" not in r.stderr, corner
         assert b"--corner" in r.stderr, corner
+
+
+def test_corner_parts_are_read_like_slope_parts(capsysbinary):
+    # signed and spaced parts: the parser took no sign after a corner's slash
+    from pixelwedge import cli
+
+    def answer(corner, *argv):
+        code = cli.main([*argv, "--slope1", "2/1", "--slope2", "-3/1", "--corner", corner])
+        return code, capsysbinary.readouterr()
+
+    for written, reduced in (("1/-2,1/3", "-1/2,1/3"), ("1/+2,1/3", "1/2,1/3"), ("-3/-4,1/3", "3/4,1/3"),
+                             ("1 / 2,1/3", "1/2,1/3")):
+        for argv in (["classify"], ["classify", "--format", "json"], ["render"], ["digitize"]):
+            expected = answer(reduced, *argv)
+            assert expected[0] == 0 and expected[1].out, (reduced, argv)
+            assert answer(written, *argv) == expected, (written, argv)
+
+
+def test_usage_errors_name_their_reason(capsysbinary):
+    from pixelwedge import cli
+
+    spec = {"--slope1": "2/1", "--slope2": "-3/1", "--corner": "1/3,1/5"}
+    for flag, value, reason in (
+        ("--slope1", "0/0", "slope 0/0 is not a direction"),
+        ("--slope1", "1/x", "'1/x' is not a rational p/q or decimal"),
+        ("--corner", "1/0,1", "zero denominator in '1/0'"),
+        ("--corner", "0.1", "corner '0.1' is not x,y"),
+    ):
+        argv = {**spec, flag: value}
+        assert cli.main(["classify", *(t for kv in argv.items() for t in kv)]) == 2, value
+        out, err = capsysbinary.readouterr()
+        assert out == b"" and err.endswith(f"error: argument {flag}: {reason}\n".encode()), err
 
 
 def test_ambiguous_endpoint_message_prints_rationals():

@@ -103,6 +103,8 @@ def test_every_argv_gets_an_answer_or_a_refusal(argv, out):
                 os.remove(path)
             runs.append((code, stdout, stderr, written))
             assert code in (0, 1, 2), argv
+            if code == 2:  # a usage error names its reason, never a function of cli.py
+                assert not any(f"invalid {name} value" in stderr for name in dir(cli)), (argv, stderr)
             if code == 1 and stderr:
                 assert stderr.startswith("pixelwedge: ") and stderr.count("\n") == 1, argv
             if code and not (argv[0] == "sweep" and code == 1 and not stderr):  # a failing sweep keeps its report

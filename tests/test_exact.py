@@ -94,3 +94,41 @@ def test_text_past_the_limit_is_value_error():
     for text in ("1e301", "1E-301", "2.5e+0301", "1" * 301, "1/" + "3" * 299):
         with pytest.raises(ValueError, match=r"limit of (\+-)?300$"):
             parse_rational(text)
+
+
+def rational_texts(rng: random.Random):
+    """Seeded rational text, valid or not, from the pieces of the CLI grammar."""
+    c = rng.choice
+    signs, pads = ("", "", "+", "-"), ("", "", " ", "\t")
+    digits = ("0", "1", "2", "12", "007", "1_000", "1__0", "3_", "\u0663", "9" * 40)
+    yield from ("1//2", "1/2/3", "1.5/2", "1/x", "0/0", "1/0", "-3/0", "1/-2", "1/+2", "1 / 2", "", "/", "1/",
+                "/2", "+", "abc", "1e300", "1E-300", "1e301", "-1e-301", "2.5e+0301", "1_0e2_99", "1/1e400")
+    for _ in range(3000):
+        shape = rng.randrange(3)
+        if shape == 0:
+            yield f"{c(pads)}{c(signs)}{c(digits)}{c(pads)}/{c(pads)}{c(signs)}{c(digits)}{c(pads)}"
+        elif shape == 1:
+            exponent = c(("", f"e{c(signs)}{rng.randint(295, 305)}", f"E{c(signs)}{rng.randint(0, 9)}"))
+            yield f"{c(pads)}{c(signs)}{c(digits)}.{c(('', '5', '25', '0_1'))}{exponent}{c(pads)}"
+        else:
+            yield f"{c(signs)}{c(digits)}{c(('', '', '/', '.', 'e', ',', 'x'))}{c(digits)}"
+
+
+def test_slope_and_corner_readers_share_one_grammar():
+    from pixelwedge.cli import parse_slope_pair
+
+    for text in rational_texts(random.Random(19)):
+        try:
+            slope = parse_slope_pair(text)
+        except ValueError:
+            slope = None
+        try:
+            value = parse_rational(text)
+        except ValueError as exc:
+            value = exc
+        if slope is None:
+            assert isinstance(value, ValueError), text
+        elif slope[1] == 0:  # a vertical direction, no value
+            assert slope[0] != 0 and "zero denominator" in str(value), text
+        else:
+            assert value == Fraction(*slope), text

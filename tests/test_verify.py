@@ -24,7 +24,7 @@ from pixelwedge.digitize import digitize_angle_path, is_pixel_center
 from pixelwedge.exact import extended_gcd
 from pixelwedge.partition import cell_bases
 from pixelwedge.shapes import canonicalize, class_signatures
-from pixelwedge.verify import chi2_q999, coprime_pairs, sweep_pair_estimate
+from pixelwedge.verify import chi2_q999, coprime_pairs
 
 from oracles import column_interval, fraction_thresholds, integer_tie_in_window
 
@@ -501,10 +501,6 @@ class TestSweep:
         # a sweep over no pairs would report PASS having checked nothing
         with pytest.raises(ValueError, match="max_entry must be >= 1"):
             theorem_sweep(4, max_entry)
-
-    def test_pair_estimate_counts_coprime_pairs(self):
-        for bound in range(1, 41):
-            assert sweep_pair_estimate(bound) == len(coprime_pairs(bound)) ** 2, bound
 
     def test_json_and_table(self):
         report = theorem_sweep(2)
