@@ -4,8 +4,9 @@ Every run is reproducible from its flags alone: no config file or environment
 variable, exact rational inputs, deterministic output bytes. Each subcommand's
 handler bounds its work (`_within`) and does all that can raise before `main`
 writes a byte. Exit codes: 0 success, 1 domain error (parallel slopes,
-pixel-center hits, work over a limit, ...) or a failing sweep, whose report is
-still written, 2 usage error, whose message names the flag and its reason.
+pixel-center hits, work over a limit, ...), an answer that cannot be written
+to stdout or `--out`, or a failing sweep, whose report is still written,
+2 usage error, whose message names the flag and its reason.
 """
 from __future__ import annotations
 
@@ -244,16 +245,16 @@ def main(argv: list[str] | None = None) -> int:
     except DomainError as exc:
         print(f"pixelwedge: {exc}", file=sys.stderr)
         return 1
-    if args.out:
-        try:
+    try:
+        if args.out:
             with open(args.out, "wb") as fh:
                 fh.write(data)
-        except OSError as exc:
-            print(f"pixelwedge: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
-            return 1
-    else:
-        sys.stdout.buffer.write(data)
-        sys.stdout.buffer.flush()
+        else:
+            sys.stdout.buffer.write(data)
+            sys.stdout.buffer.flush()
+    except OSError as exc:
+        print(f"pixelwedge: cannot write {args.out or 'stdout'}: {exc.strerror or exc}", file=sys.stderr)
+        return 1
     return code
 
 

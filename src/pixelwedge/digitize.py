@@ -27,10 +27,6 @@ PixelIndex = tuple[int, int]
 GridPath = list[tuple[int, int]]
 
 
-def as_point(x, y) -> Point:
-    return (Fraction(x), Fraction(y))
-
-
 def is_half_integer(r: Fraction) -> bool:
     return r.denominator == 2
 
@@ -121,15 +117,6 @@ class AngleSpec:
     @property
     def count(self) -> int:
         return self.slopes.count
-
-
-def angle_thresholds(spec: AngleSpec) -> tuple[Fraction, Fraction]:
-    """Exact thresholds (alpha, beta) such that pixel (m, n) is in the angle
-    iff a*m - b*n >= alpha and c*m - d*n >= beta. Over 2q the corner less
-    (1/2, 1/2) is the integer pair (2x - q, 2y - q)."""
-    x, y, q = spec.xyq
-    u, v = 2 * x - q, 2 * y - q
-    return Fraction(spec.a * u - spec.b * v, 2 * q), Fraction(spec.c * u - spec.d * v, 2 * q)
 
 
 def threshold_ceilings(slopes: Slopes, x: int, y: int, q: int) -> tuple[int, int]:
@@ -232,7 +219,7 @@ def digitize_polyline(points: list[Point]) -> GridPath:
     sit on half-integer lines (the sweep sees them as ordinary events), but
     the two path endpoints must round unambiguously.
     """
-    pts = [as_point(*p) for p in points]
+    pts = [(Fraction(x), Fraction(y)) for x, y in points]
     if len(pts) < 2 or any(pts[i] == pts[i + 1] for i in range(len(pts) - 1)):
         raise ValueError("polyline needs distinct consecutive vertices")
     for end in (pts[0], pts[-1]):

@@ -52,15 +52,16 @@ def parse_ratio(text: str) -> tuple[int, int]:
     "p/q" gives its parts as written, each read by int() ("1/-2" -> (1, -2),
     q may be 0), a decimal or integer its least terms by Fraction's exact
     parser ("0.1" -> (1, 10)). ValueError on malformed text, and first on
-    text over TEXT_LIMIT characters or with an exponent past +-TEXT_LIMIT."""
+    text over TEXT_LIMIT characters or on a decimal with an exponent past
+    +-TEXT_LIMIT."""
     text = text.strip()
     if len(text) > TEXT_LIMIT:
         raise ValueError(f"rational text of {len(text)} characters, over the limit of {TEXT_LIMIT}")
-    exponent = text.lower().partition("e")[2]
+    num, slash, den = text.partition("/")
+    exponent = "" if slash else text.lower().partition("e")[2]  # int() reads no exponent
     digits = exponent.lstrip("+-").replace("_", "")
     if digits.isdecimal() and int(digits) > TEXT_LIMIT:
         raise ValueError(f"decimal exponent {exponent}, past the limit of +-{TEXT_LIMIT}")
-    num, slash, den = text.partition("/")
     try:
         return (int(num), int(den)) if slash else Fraction(text).as_integer_ratio()
     except ValueError:

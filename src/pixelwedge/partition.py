@@ -50,26 +50,22 @@ class Parallelogram:
     edge1: Vec
     edge2: Vec
 
-    def corners(self) -> tuple[Point, Point, Point, Point]:
-        """base, base + e1, base + e2 and base + e1 + e2."""
-        q, corners = _int_corners(self)
-        return tuple((Fraction(x, q), Fraction(y, q)) for x, y in corners)
-
-    def polygon(self) -> list[Point]:
-        """Corners as a counterclockwise cycle."""
-        return _ccw(self.corners())
-
     @property
     def area(self) -> Fraction:
         (ux, uy), (wx, wy) = self.edge1, self.edge2
         return abs(ux * wy - uy * wx)
 
     def to_json_dict(self) -> dict:
+        """Base, edges and corners (base, +e1, +e2, +e1+e2) as "num/den" text,
+        all from the one integer form of `_int_corners`."""
+        q, corners = _int_corners(self)
+        (bx, by), (ux, uy), (wx, wy) = corners[:3]
         return {
             "index": self.index,
-            "base": [format_rational(v) for v in self.base],
-            "edge1": [format_rational(v) for v in self.edge1],
-            "edge2": [format_rational(v) for v in self.edge2],
+            "base": [format_rational(bx, q), format_rational(by, q)],
+            "edge1": [format_rational(ux - bx, q), format_rational(uy - by, q)],
+            "edge2": [format_rational(wx - bx, q), format_rational(wy - by, q)],
+            "corners": [[format_rational(x, q), format_rational(y, q)] for x, y in corners],
         }
 
 

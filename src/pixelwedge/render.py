@@ -9,8 +9,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import EmptySet, UnsupportedFormat
-from .exact import format_rational
-from .partition import Parallelogram, _int_corners, _int_fragments, _shoelace
+from .partition import Parallelogram, _int_fragments, _shoelace
 
 FORMATS = ("ascii", "pbm", "svg", "json")
 
@@ -145,10 +144,5 @@ def render_partition(cells: list[Parallelogram], opts: RenderOptions) -> bytes:
     if opts.format == "svg":
         return _svg_partition(cells, max(opts.scale, 64))
     if opts.format == "json":
-        dicts = []
-        for cell in cells:
-            q, corners = _int_corners(cell)
-            corners = [[format_rational(x, q), format_rational(y, q)] for x, y in corners]
-            dicts.append({**cell.to_json_dict(), "corners": corners})
-        return json_line({"cells": dicts})
+        return json_line({"cells": [cell.to_json_dict() for cell in cells]})
     raise UnsupportedFormat(f"partitions render as svg or json, not {opts.format!r}")

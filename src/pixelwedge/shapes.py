@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
-from .digitize import AngleSpec, PixelIndex, Slopes, angle_thresholds, threshold_ceilings, window_columns
+from .digitize import AngleSpec, PixelIndex, Slopes, threshold_ceilings, window_columns
 from .errors import InvalidAxis
 
 PixelSet = frozenset  # of (m, n) pixel indices
@@ -31,7 +31,13 @@ class RegionParams:
 
 
 def region_params(spec: AngleSpec) -> RegionParams:
-    return RegionParams(*angle_thresholds(spec), *threshold_ceilings(spec.slopes, *spec.xyq))
+    """Exact thresholds (alpha, beta) such that pixel (m, n) is in the angle
+    iff a*m - b*n >= alpha and c*m - d*n >= beta, and their ceilings. Over
+    2q the corner less (1/2, 1/2) is the integer pair (2x - q, 2y - q)."""
+    x, y, q = spec.xyq
+    u, v = 2 * x - q, 2 * y - q
+    alpha, beta = Fraction(spec.a * u - spec.b * v, 2 * q), Fraction(spec.c * u - spec.d * v, 2 * q)
+    return RegionParams(alpha, beta, *threshold_ceilings(spec.slopes, x, y, q))
 
 
 def class_of_params(slopes: Slopes, alpha: int, beta: int) -> int:

@@ -22,7 +22,6 @@ from functools import lru_cache
 from .digitize import (
     AngleSpec,
     Slopes,
-    angle_thresholds,
     digitize_angle_path,
     is_pixel_center,
     threshold_ceilings,
@@ -30,7 +29,7 @@ from .digitize import (
 )
 from .errors import PixelCenterHit
 from .partition import cell_bases, partition_unit_square
-from .shapes import class_fingerprint, class_of_params
+from .shapes import class_fingerprint, class_of_params, region_params
 
 
 def _gamma_p(s: float, x: float) -> float:
@@ -275,12 +274,12 @@ def hobby_region_check(spec: AngleSpec, window: int) -> bool:
         raise ValueError("window must be >= 1")
     if is_pixel_center(spec.corner):
         raise PixelCenterHit("corner is a pixel center")
-    alpha, beta = angle_thresholds(spec)
+    rp = region_params(spec)
     x, y, q = spec.xyq
     m0, n0 = x // q, y // q
     w = window
-    for p, r, t in ((spec.a, spec.b, alpha), (spec.c, spec.d, beta)):
-        if t.denominator == 1 and window_columns(p, r, -p, -r, int(t), -int(t), (m0, n0), w + 1):
+    for p, r, t, ceil in ((spec.a, spec.b, rp.alpha, rp.alpha_ceil), (spec.c, spec.d, rp.beta, rp.beta_ceil)):
+        if t == ceil and window_columns(p, r, -p, -r, ceil, -ceil, (m0, n0), w + 1):
             raise PixelCenterHit("a boundary line passes through a window pixel center")
 
     path = digitize_angle_path(spec, w + 4)
@@ -293,8 +292,7 @@ def hobby_region_check(spec: AngleSpec, window: int) -> bool:
 
     # one row and column past the window, so that an end clamped to the box
     # lies outside the window and is never taken for a flip
-    ceilings = threshold_ceilings(spec.slopes, x, y, q)
-    cols = window_columns(spec.a, spec.b, spec.c, spec.d, *ceilings, (m0, n0), w + 1)
+    cols = window_columns(spec.a, spec.b, spec.c, spec.d, rp.alpha_ceil, rp.beta_ceil, (m0, n0), w + 1)
     flips = {
         (m, n) for m, lo, hi in cols for n in (lo, hi + 1)
         if abs(m - m0) <= w and abs(n - n0) <= w

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -146,6 +147,22 @@ def test_out_into_missing_directory_is_one_line_refusal(tmp_path):
     assert r.returncode == 1
     assert r.stdout == b""
     assert r.stderr.startswith(b"pixelwedge: ") and r.stderr.count(b"\n") == 1
+
+
+def test_closed_stdout_is_one_line_write_error():
+    # the read end is closed before the run starts: every write gets EPIPE
+    spec = ("--slope1", "2/1", "--slope2", "-3/1")
+    small = ("classify", *spec, "--corner", "0.1,0.7")
+    large = ("enumerate", "--slope1", "20/1", "--slope2", "-1/20", "--window", "40")  # ~715 KB
+    for argv in (small, large):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            r = subprocess.run(BASE + list(argv), stdout=write, stderr=subprocess.PIPE, timeout=120)
+        finally:
+            os.close(write)
+        assert r.returncode == 1, (argv, r.stderr)
+        assert r.stderr.startswith(b"pixelwedge: cannot write stdout: ") and r.stderr.count(b"\n") == 1, r.stderr
 
 
 def test_refusal_leaves_no_out_file(tmp_path):
@@ -378,6 +395,9 @@ def test_usage_errors_name_their_reason(capsysbinary):
         ("--slope1", "1/x", "'1/x' is not a rational p/q or decimal"),
         ("--corner", "1/0,1", "zero denominator in '1/0'"),
         ("--corner", "0.1", "corner '0.1' is not x,y"),
+        # a p/q part is read by int(), so an exponent there is malformed text, not over the limit
+        ("--slope1", "1/1e400", "'1/1e400' is not a rational p/q or decimal"),
+        ("--corner", "1e400/1,1", "'1e400/1' is not a rational p/q or decimal"),
     ):
         argv = {**spec, flag: value}
         assert cli.main(["classify", *(t for kv in argv.items() for t in kv)]) == 2, value

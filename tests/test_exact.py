@@ -91,8 +91,15 @@ def test_zero_denominator_is_value_error():
 def test_text_past_the_limit_is_value_error():
     assert parse_rational("1e300") == 10**300 and parse_rational(" 1E-300 ") == Fraction(1, 10**300)
     assert parse_rational("1" * 300) == int("1" * 300)
-    for text in ("1e301", "1E-301", "2.5e+0301", "1" * 301, "1/" + "3" * 299):
+    for text in ("1e301", "1E-301", "2.5e+0301", "1" * 301, "1/" + "3" * 299, "1e400", "1e-400", "1E+400"):
         with pytest.raises(ValueError, match=r"limit of (\+-)?300$"):
+            parse_rational(text)
+
+
+def test_exponent_limit_reads_only_decimal_text():
+    # int() reads no exponent, so a p/q part that looks like one is malformed
+    for text in ("1/1e400", "1e400/1", "1/1e-400", "1/1e4"):
+        with pytest.raises(ValueError, match="is not a rational p/q or decimal$"):
             parse_rational(text)
 
 
@@ -102,7 +109,8 @@ def rational_texts(rng: random.Random):
     signs, pads = ("", "", "+", "-"), ("", "", " ", "\t")
     digits = ("0", "1", "2", "12", "007", "1_000", "1__0", "3_", "\u0663", "9" * 40)
     yield from ("1//2", "1/2/3", "1.5/2", "1/x", "0/0", "1/0", "-3/0", "1/-2", "1/+2", "1 / 2", "", "/", "1/",
-                "/2", "+", "abc", "1e300", "1E-300", "1e301", "-1e-301", "2.5e+0301", "1_0e2_99", "1/1e400")
+                "/2", "+", "abc", "1e300", "1E-300", "1e301", "-1e-301", "2.5e+0301", "1_0e2_99", "1/1e400",
+                "1e400/1", "1/1e-400", "1e400", "1e-400", "1E+400")
     for _ in range(3000):
         shape = rng.randrange(3)
         if shape == 0:

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -29,12 +30,12 @@ Q_SLOPES = Slopes(3, -1, -1, 2)
 
 def test_first_cell_corners_match_known_values():
     cell = partition_unit_square(P_SLOPES)[0]
-    assert cell.corners() == (
-        (F(1, 2), F(1, 2)),
-        (F(7, 10), F(9, 10)),
-        (F(3, 10), F(11, 10)),
-        (F(1, 2), F(3, 2)),
-    )
+    assert cell.to_json_dict()["corners"] == [
+        ["1/2", "1/2"],
+        ["7/10", "9/10"],
+        ["3/10", "11/10"],
+        ["1/2", "3/2"],
+    ]
 
 
 def test_cell_bases_one_per_class():
@@ -148,7 +149,20 @@ def test_parallelogram_json():
         "base": ["1/10", "7/10"],
         "edge1": ["1/5", "2/5"],
         "edge2": ["-1/5", "3/5"],
+        "corners": [["1/10", "7/10"], ["3/10", "11/10"], ["-1/10", "13/10"], ["1/10", "17/10"]],
     }
+
+
+def test_partition_json_cells_are_the_cells_json_dicts(capsysbinary):
+    from pixelwedge import cli
+    from test_cli import PARTITION_SHA256
+
+    for s1, s2, fmt in PARTITION_SHA256:
+        if fmt == "json":
+            assert cli.main(["partition", "--slope1", s1, "--slope2", s2, "--format", "json"]) == 0
+            slopes = Slopes(*cli.parse_slope_pair(s1), *cli.parse_slope_pair(s2))
+            cells = [cell.to_json_dict() for cell in partition_unit_square(slopes)]
+            assert json.loads(capsysbinary.readouterr().out) == {"cells": cells}, (s1, s2)
 
 
 # --- the exact Fraction clipper the integer one replaced, kept as the oracle ---
@@ -181,8 +195,16 @@ def _ref_clip_to_unit_square(poly):
     return poly if polygon_area(poly) > 0 else []
 
 
+def _ref_polygon(cell):
+    """The cell's corners from its Fraction base and edges, as a
+    counterclockwise cycle starting at the base."""
+    (bx, by), (ux, uy), (wx, wy) = cell.base, cell.edge1, cell.edge2
+    c0, c1, c2, c3 = (bx, by), (bx + ux, by + uy), (bx + wx, by + wy), (bx + ux + wx, by + uy + wy)
+    return [c0, c1, c3, c2] if polygon_area([c0, c1, c3, c2]) > 0 else [c0, c2, c3, c1]
+
+
 def _ref_cell_fragments(cell):
-    poly = cell.polygon()
+    poly = _ref_polygon(cell)
     xs = [p[0] for p in poly]
     ys = [p[1] for p in poly]
     frags = []
@@ -245,12 +267,20 @@ def test_fragments_equal_fraction_clipper_off_partition():
 
 
 def test_corners_equal_fraction_sums():
-    # corners() comes from the integer form over the lcm of the denominators
+    # to_json_dict() writes from the integer form over the lcm of the denominators
+    def text(p):
+        return [f"{v.numerator}/{v.denominator}" for v in p]
+
     for cell in OFF_PARTITION + partition_unit_square(Q_SLOPES) + partition_unit_square(Slopes(6, 5, 9, 7)):
         (bx, by), (ux, uy), (wx, wy) = cell.base, cell.edge1, cell.edge2
-        corners = cell.corners()
-        assert corners == ((bx, by), (bx + ux, by + uy), (bx + wx, by + wy), (bx + ux + wx, by + uy + wy)), cell
-        assert all(type(v) is Fraction for p in corners for v in p)
+        corners = [(bx, by), (bx + ux, by + uy), (bx + wx, by + wy), (bx + ux + wx, by + uy + wy)]
+        assert cell.to_json_dict() == {
+            "index": cell.index,
+            "base": text(cell.base),
+            "edge1": text(cell.edge1),
+            "edge2": text(cell.edge2),
+            "corners": [text(p) for p in corners],
+        }, cell
 
 
 def test_fragment_areas_over_sweep():
