@@ -119,59 +119,59 @@ class AngleSpec:
         return self.slopes.count
 
 
-def threshold_ceilings(slopes: Slopes, x: int, y: int, q: int) -> tuple[int, int]:
-    """(ceil(alpha), ceil(beta)) of the corner (x/q, y/q), q > 0.
+def threshold_ceilings(a: int, b: int, c: int, d: int, x: int, y: int, q: int) -> tuple[int, int]:
+    """(ceil(alpha), ceil(beta)) of the corner (x/q, y/q), q > 0, for the
+    slope pairs (a, b) and (c, d).
 
     a*m - b*n is an integer, so it is >= alpha iff it is >= ceil(alpha), and
     likewise for beta. Over 2q the corner less (1/2, 1/2) has integer
     numerators, so each ceiling is one floor division.
     """
     u, v = 2 * x - q, 2 * y - q
-    return (
-        -((slopes.b * v - slopes.a * u) // (2 * q)),
-        -((slopes.d * v - slopes.c * u) // (2 * q)),
-    )
+    return -((b * v - a * u) // (2 * q)), -((d * v - c * u) // (2 * q))
 
 
-def window_columns(
-    a: int, b: int, c: int, d: int, alpha: int, beta: int, anchor: PixelIndex, window: int
-) -> list[tuple[int, int, int]]:
-    """Member rows (m, lo, hi), inclusive, of the columns of the
-    (2*window+1)^2 box centred on `anchor`, in increasing m, for integer
-    thresholds alpha and beta; empty columns are left out. The pairs may be
-    parallel: (c, d, beta) = (-a, -b, -alpha) gives the degenerate strip
+def window_columns(a: int, b: int, c: int, d: int, regions, window: int):
+    """The one column scan: for each region (alpha, beta, anchor) in turn,
+    integer thresholds and a pixel, yields its member rows (m, lo, hi),
+    inclusive, of the columns of the (2*window+1)^2 box centred on `anchor`,
+    in increasing m, and their lowest row (the box's top row when no column
+    is a member). Empty columns are left out. The pairs may be parallel:
+    (c, d, beta) = (-a, -b, -alpha) gives the degenerate strip
     a*m - b*n == alpha, the pixels whose centres lie on that line.
     """
-    am, an = anchor
-    bottom, top = an - window, an + window
-    cols = []
-    for m in range(am - window, am + window + 1):
-        lo, hi = bottom, top
-        v = a * m - alpha
-        if b > 0:
-            t = v // b
-            if t < hi:
-                hi = t
-        elif b < 0:
-            t = -(v // -b)
-            if t > lo:
-                lo = t
-        elif v < 0:
-            continue
-        v = c * m - beta
-        if d > 0:
-            t = v // d
-            if t < hi:
-                hi = t
-        elif d < 0:
-            t = -(v // -d)
-            if t > lo:
-                lo = t
-        elif v < 0:
-            continue
-        if lo <= hi:
-            cols.append((m, lo, hi))
-    return cols
+    for alpha, beta, (am, an) in regions:
+        bottom, top = an - window, an + window
+        low, cols = top, []
+        for m in range(am - window, am + window + 1):
+            lo, hi = bottom, top
+            v = a * m - alpha
+            if b > 0:
+                t = v // b
+                if t < hi:
+                    hi = t
+            elif b < 0:
+                t = -(v // -b)
+                if t > lo:
+                    lo = t
+            elif v < 0:
+                continue
+            v = c * m - beta
+            if d > 0:
+                t = v // d
+                if t < hi:
+                    hi = t
+            elif d < 0:
+                t = -(v // -d)
+                if t > lo:
+                    lo = t
+            elif v < 0:
+                continue
+            if lo <= hi:
+                cols.append((m, lo, hi))
+                if lo < low:
+                    low = lo
+        yield cols, low
 
 
 def region_pixels(spec: AngleSpec, window: int) -> set[PixelIndex]:
@@ -180,8 +180,8 @@ def region_pixels(spec: AngleSpec, window: int) -> set[PixelIndex]:
     if window < 1:
         raise ValueError("window must be >= 1")
     x, y, q = spec.xyq
-    ceilings = threshold_ceilings(spec.slopes, x, y, q)
-    cols = window_columns(spec.a, spec.b, spec.c, spec.d, *ceilings, (x // q, y // q), window)
+    a, b, c, d = spec.a, spec.b, spec.c, spec.d
+    [(cols, _)] = window_columns(a, b, c, d, [(*threshold_ceilings(a, b, c, d, x, y, q), (x // q, y // q))], window)
     return {(m, n) for m, lo, hi in cols for n in range(lo, hi + 1)}
 
 

@@ -69,17 +69,17 @@ class Parallelogram:
         }
 
 
-def cell_bases(slopes: Slopes):
-    """(j, x, y) for each cell j in index order: its base is (x, y) / (2D),
-    0 <= x, y < 2D. Corners inside cell j produce class j.
+def cell_bases(a: int, b: int, c: int, d: int):
+    """(j, x, y) for each cell j of the slope pairs (a, b) and (c, d), in
+    index order: its base is (x, y) / (2D), 0 <= x, y < 2D, D = |ad - bc|.
+    Corners inside cell j produce class j.
 
     Cell j is the preimage of the unit parameter square whose interior has
     integerised thresholds (0, j); its base is the boundary-line crossing at
     that square's corner plus (1/2, 1/2), reduced mod 1.
     """
-    a, b, c, d = slopes.as_tuple()
-    det = slopes.det
-    D = slopes.count
+    det = a * d - b * c
+    D = abs(det)
     sign = 1 if det > 0 else -1
     for j in range(D):
         alpha, beta = (0, j) if det > 0 else (-1, j - 1)
@@ -93,7 +93,7 @@ def partition_unit_square(slopes: Slopes) -> list[Parallelogram]:
     D = slopes.count
     e1: Vec = (Fraction(slopes.b, D), Fraction(slopes.a, D))
     e2: Vec = (Fraction(-slopes.d, D), Fraction(-slopes.c, D))
-    bases = cell_bases(slopes)
+    bases = cell_bases(*slopes.as_tuple())
     return [Parallelogram(j, (Fraction(x, 2 * D), Fraction(y, 2 * D)), e1, e2) for j, x, y in bases]
 
 
@@ -198,7 +198,7 @@ class PartitionLocator:
 
     def __init__(self, slopes: Slopes):
         self.slopes = slopes
-        bases = [(x, y) for _, x, y in cell_bases(slopes)]
+        bases = [(x, y) for _, x, y in cell_bases(*slopes.as_tuple())]
         self._index = {base: j for j, base in enumerate(bases)}
         self._base0 = bases[0]
 

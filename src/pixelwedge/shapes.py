@@ -37,7 +37,7 @@ def region_params(spec: AngleSpec) -> RegionParams:
     x, y, q = spec.xyq
     u, v = 2 * x - q, 2 * y - q
     alpha, beta = Fraction(spec.a * u - spec.b * v, 2 * q), Fraction(spec.c * u - spec.d * v, 2 * q)
-    return RegionParams(alpha, beta, *threshold_ceilings(spec.slopes, x, y, q))
+    return RegionParams(alpha, beta, *threshold_ceilings(spec.a, spec.b, spec.c, spec.d, x, y, q))
 
 
 def class_of_params(slopes: Slopes, alpha: int, beta: int) -> int:
@@ -54,7 +54,7 @@ def class_of_params(slopes: Slopes, alpha: int, beta: int) -> int:
 
 def class_index(spec: AngleSpec) -> int:
     """Class of the corner's integer thresholds."""
-    return class_of_params(spec.slopes, *threshold_ceilings(spec.slopes, *spec.xyq))
+    return class_of_params(spec.slopes, *threshold_ceilings(spec.a, spec.b, spec.c, spec.d, *spec.xyq))
 
 
 def equivalent(p1: RegionParams, p2: RegionParams, slopes: Slopes) -> bool:
@@ -69,26 +69,27 @@ def equivalent(p1: RegionParams, p2: RegionParams, slopes: Slopes) -> bool:
 Columns = tuple[tuple[int, int, int], ...]  # (column, row_lo, row_hi) inclusive
 
 
-def class_fingerprint(slopes: Slopes, alpha: int, beta: int, window: int) -> tuple[Columns, PixelIndex]:
-    """Canonical (translation-normalised) column table of R(alpha, beta)
-    clipped to the window around its anchor, and the anchor's position in
-    canonical coordinates.
+def class_fingerprints(pair: tuple[int, int, int, int], thresholds, window: int):
+    """For each integer threshold pair (alpha, beta) in turn, the canonical
+    (translation-normalised) column table of R(alpha, beta) clipped to the
+    window around its anchor, and the anchor's position in canonical
+    coordinates; ((), (0, 0)) for a region with no pixel in its window.
 
     The anchor is the floor of the boundary-line crossing. It depends on the
     region only and shifts by exactly (k, l) when the region is translated by
     (k, l), so equivalent parameter pairs produce identical fingerprints at
-    equal window.
+    equal window. All regions go through one `window_columns` scan.
     """
-    a, b, c, d, det = slopes.a, slopes.b, slopes.c, slopes.d, slopes.det
-    am = (d * alpha - b * beta) // det
-    an = (c * alpha - a * beta) // det
-    cols = window_columns(a, b, c, d, alpha, beta, (am, an), window)
-    if not cols:
-        return (), (0, 0)
-    min_m = cols[0][0]
-    min_n = min([lo for _, lo, _ in cols])
-    sig = tuple([(m - min_m, lo - min_n, hi - min_n) for m, lo, hi in cols])
-    return sig, (am - min_m, an - min_n)
+    a, b, c, d = pair
+    det = a * d - b * c
+    regions = [(alpha, beta, ((d * alpha - b * beta) // det, (c * alpha - a * beta) // det))
+               for alpha, beta in thresholds]
+    for (_, _, (am, an)), (cols, min_n) in zip(regions, window_columns(a, b, c, d, regions, window)):
+        if not cols:
+            yield (), (0, 0)
+            continue
+        min_m = cols[0][0]
+        yield tuple([(m - min_m, lo - min_n, hi - min_n) for m, lo, hi in cols]), (am - min_m, an - min_n)
 
 
 def canonicalize(ps) -> PixelSet:
@@ -154,7 +155,7 @@ def class_signatures(slopes: Slopes, window: int | None = None) -> tuple[int, li
         raise ValueError("window must be >= 1")
     d, top = slopes.count, separating_window(slopes, w)
     while True:
-        sigs = [class_fingerprint(slopes, 0, j, w) for j in range(d)]
+        sigs = list(class_fingerprints(slopes.as_tuple(), [(0, j) for j in range(d)], w))
         if all(sig for sig, _ in sigs) and len({sig for sig, _ in sigs}) == d:
             return w, sigs
         if w >= top:  # only if the proof above is wrong
@@ -216,8 +217,8 @@ def shape_of_spec(spec: AngleSpec, window: int | None = None) -> ShapeClass:
     w = default_window(slopes) if window is None else window
     if w < 1:
         raise ValueError("window must be >= 1")
-    alpha, beta = threshold_ceilings(slopes, *spec.xyq)
-    sig, corner = class_fingerprint(slopes, alpha, beta, w)
+    alpha, beta = threshold_ceilings(spec.a, spec.b, spec.c, spec.d, *spec.xyq)
+    [(sig, corner)] = class_fingerprints(slopes.as_tuple(), [(alpha, beta)], w)
     bitmap = frozenset((m, n) for m, lo, hi in sig for n in range(lo, hi + 1))
     return ShapeClass(slopes.as_tuple(), class_of_params(slopes, alpha, beta), w, bitmap, corner)
 

@@ -29,7 +29,7 @@ from .digitize import (
 )
 from .errors import PixelCenterHit
 from .partition import cell_bases, partition_unit_square
-from .shapes import class_fingerprint, class_of_params, region_params
+from .shapes import class_fingerprints, class_of_params, region_params
 
 
 def _gamma_p(s: float, x: float) -> float:
@@ -180,7 +180,7 @@ def _count_block(slopes_tuple, seed, block, take):
             kept = [(px, py) for px, py in zip(words[::2], words[1::2]) if px != _HALF_Q or py != _HALF_Q]
             resampled += t - len(kept)
             take -= len(kept)
-            ceilings = (threshold_ceilings(slopes, px, py, _Q) for px, py in kept)
+            ceilings = (threshold_ceilings(a, b, c, d, px, py, _Q) for px, py in kept)
             keys.update(alpha + ha | (beta + hc) << ka for alpha, beta in ceilings)
             continue
         take -= t
@@ -244,14 +244,21 @@ def exact_class_areas(slopes: Slopes) -> list[Fraction]:
     return [cell.area for cell in partition_unit_square(slopes)]
 
 
-def cells_match_classes(slopes: Slopes) -> bool:
+def cells_match_classes(a: int, b: int, c: int, d: int) -> bool:
     """Whether the centre base + (e1 + e2)/2 of every partition cell j is a
-    corner of class j by the closed-form class formula; over 2D the centre of
-    the cell based at (x, y) / (2D) is the integer pair (x + b - d, y + a - c)."""
-    a, b, c, d = slopes.a, slopes.b, slopes.c, slopes.d
-    q = 2 * slopes.count
-    for j, x, y in cell_bases(slopes):
-        if class_of_params(slopes, *threshold_ceilings(slopes, x + b - d, y + a - c, q)) != j:
+    corner of class j; over 2D the centre of the cell based at (x, y) / (2D)
+    is the integer pair (x + b - d, y + a - c).
+
+    Its ceilings (alpha, beta) give class j iff R(alpha, beta) ~ R(0, j),
+    iff (alpha, beta - j) is a vector (a*k - b*l, c*k - d*l), k and l
+    integers, of the translation lattice; solved for k and l, iff det divides
+    d*alpha - b*(beta - j) and c*alpha - a*(beta - j), det = ad - bc.
+    """
+    det = a * d - b * c
+    q = 2 * abs(det)
+    for j, x, y in cell_bases(a, b, c, d):
+        alpha, beta = threshold_ceilings(a, b, c, d, x + b - d, y + a - c, q)
+        if (d * alpha - b * (beta - j)) % det or (c * alpha - a * (beta - j)) % det:
             return False
     return True
 
@@ -279,7 +286,7 @@ def hobby_region_check(spec: AngleSpec, window: int) -> bool:
     m0, n0 = x // q, y // q
     w = window
     for p, r, t, ceil in ((spec.a, spec.b, rp.alpha, rp.alpha_ceil), (spec.c, spec.d, rp.beta, rp.beta_ceil)):
-        if t == ceil and window_columns(p, r, -p, -r, ceil, -ceil, (m0, n0), w + 1):
+        if t == ceil and next(window_columns(p, r, -p, -r, [(ceil, -ceil, (m0, n0))], w + 1))[0]:
             raise PixelCenterHit("a boundary line passes through a window pixel center")
 
     path = digitize_angle_path(spec, w + 4)
@@ -292,7 +299,7 @@ def hobby_region_check(spec: AngleSpec, window: int) -> bool:
 
     # one row and column past the window, so that an end clamped to the box
     # lies outside the window and is never taken for a flip
-    cols = window_columns(spec.a, spec.b, spec.c, spec.d, rp.alpha_ceil, rp.beta_ceil, (m0, n0), w + 1)
+    [(cols, _)] = window_columns(spec.a, spec.b, spec.c, spec.d, [(rp.alpha_ceil, rp.beta_ceil, (m0, n0))], w + 1)
     flips = {
         (m, n) for m, lo, hi in cols for n in (lo, hi + 1)
         if abs(m - m0) <= w and abs(n - n0) <= w
@@ -386,6 +393,10 @@ def theorem_sweep(max_shapes: int, max_entry: int | None = None) -> SweepReport:
     around an anchor that moves with it, so distinct fingerprints prove
     distinct classes; class_signatures proves that this window shows all D,
     and a collision leaves an entry with fewer classes than expected.
+
+    The pairs are coprime by construction, so each is swept as plain
+    integers: no `Slopes` and no Bezout pair, one `class_fingerprints` scan
+    over its D classes, and `cells_match_classes` on the translation lattice.
     """
     if max_shapes < 1:
         raise ValueError("max_shapes must be >= 1")
@@ -399,9 +410,8 @@ def theorem_sweep(max_shapes: int, max_entry: int | None = None) -> SweepReport:
             det = a * d - b * c
             if det == 0 or abs(det) > max_shapes:
                 continue
-            slopes = Slopes(a, b, c, d)
-            window = max(abs(a), abs(b), abs(c), abs(d))
-            sigs = {class_fingerprint(slopes, 0, j, window)[0] for j in range(slopes.count)} - {()}
-            entry = SweepEntry(slopes.as_tuple(), slopes.count, len(sigs), cells_match_classes(slopes))
-            report.entries.append(entry)
+            count, window = abs(det), max(abs(a), abs(b), abs(c), abs(d))
+            sigs = {sig for sig, _ in class_fingerprints((a, b, c, d), [(0, j) for j in range(count)], window)}
+            sigs.discard(())
+            report.entries.append(SweepEntry((a, b, c, d), count, len(sigs), cells_match_classes(a, b, c, d)))
     return report

@@ -24,7 +24,7 @@ from pixelwedge import (
     theorem_sweep,
 )
 from pixelwedge.digitize import window_columns
-from pixelwedge.shapes import class_fingerprint, class_of_params
+from pixelwedge.shapes import class_fingerprints, class_of_params
 from pixelwedge.verify import chi2_q999, coprime_pairs
 
 from oracles import column_interval
@@ -121,13 +121,12 @@ def test_criterion_6_equivalence_matches_bitmaps():
             window = enumerate_shapes(slopes)[0].window
             by_class = {}
             by_bitmap = {}
-            for alpha in range(-10, 11):
-                for beta in range(-10, 11):
-                    cls = class_of_params(slopes, alpha, beta)
-                    fp = class_fingerprint(slopes, alpha, beta, window)
-                    # the class partition and the bitmap partition must agree
-                    assert by_class.setdefault(cls, fp) == fp
-                    assert by_bitmap.setdefault(fp, cls) == cls
+            grid = [(alpha, beta) for alpha in range(-10, 11) for beta in range(-10, 11)]
+            for (alpha, beta), fp in zip(grid, class_fingerprints(slopes.as_tuple(), grid, window), strict=True):
+                cls = class_of_params(slopes, alpha, beta)
+                # the class partition and the bitmap partition must agree
+                assert by_class.setdefault(cls, fp) == fp
+                assert by_bitmap.setdefault(fp, cls) == cls
             assert len(by_class) == min(slopes.count, 21 * 21)
             tested += 1
 
@@ -181,7 +180,7 @@ def test_criterion_8_ceiling_identity():
             beta = F(rng.randint(-1200, 1200), rng.randint(1, 97))
             expected = box_pixels(slopes, alpha, beta)
             assert expected == box_pixels(slopes, math.ceil(alpha), math.ceil(beta))
-            cols = window_columns(a, b, c, d, math.ceil(alpha), math.ceil(beta), (0, 0), 10)
+            [(cols, _)] = window_columns(a, b, c, d, [(math.ceil(alpha), math.ceil(beta), (0, 0))], 10)
             assert expected == {(m, n) for m, lo, hi in cols for n in range(lo, hi + 1)}
 
 

@@ -220,23 +220,37 @@ def clamped_interval_scan(a, b, c, d, alpha, beta, anchor, window):
     return cols
 
 
+def scanned(a, b, c, d, regions, window):
+    """window_columns' column lists, one per region, each checked against
+    the lowest row yielded with it (the box's top row when it is empty)."""
+    out = []
+    for (_, _, (_, an)), (cols, low) in zip(regions, window_columns(a, b, c, d, regions, window), strict=True):
+        assert low == min([lo for _, lo, _ in cols], default=an + window)
+        out.append(cols)
+    return out
+
+
 class TestWindowScan:
     # every coprime pair with entries <= 3: b = 0 and d = 0 occur, and each
     # pair appears in both orders, so det takes both signs
     PAIRS = [(p, q) for p in range(-3, 4) for q in range(-3, 4) if math.gcd(p, q) == 1]
 
     def test_matches_column_interval_scan(self):
+        # two regions per scan, so each one's columns and lowest row are
+        # yielded apart from the other's
         rng = random.Random(93)
         for a, b in self.PAIRS:
             for c, d in self.PAIRS:
                 if a * d - b * c == 0:
                     continue
                 for window in range(1, 10):
-                    alpha, beta = rng.randint(-15, 15), rng.randint(-15, 15)
-                    anchor = (rng.randint(-6, 6), rng.randint(-6, 6))
-                    assert window_columns(a, b, c, d, alpha, beta, anchor, window) == (
-                        clamped_interval_scan(a, b, c, d, alpha, beta, anchor, window)
-                    ), (a, b, c, d, alpha, beta, anchor, window)
+                    regions = [
+                        (rng.randint(-15, 15), rng.randint(-15, 15), (rng.randint(-6, 6), rng.randint(-6, 6)))
+                        for _ in range(2)
+                    ]
+                    assert scanned(a, b, c, d, regions, window) == [
+                        clamped_interval_scan(a, b, c, d, *region, window) for region in regions
+                    ], (a, b, c, d, regions, window)
 
     def test_degenerate_strip_matches_column_interval_scan(self):
         # the slope pair (p, q), (-p, -q) bounds the line p*m - q*n = t on
@@ -244,11 +258,11 @@ class TestWindowScan:
         rng = random.Random(95)
         for p, q in self.PAIRS:
             for window in range(1, 10):
-                t = rng.randint(-15, 15)
-                anchor = (rng.randint(-6, 6), rng.randint(-6, 6))
-                assert window_columns(p, q, -p, -q, t, -t, anchor, window) == (
-                    clamped_interval_scan(p, q, -p, -q, t, -t, anchor, window)
-                ), (p, q, t, anchor, window)
+                ts = rng.randint(-15, 15), rng.randint(-15, 15)
+                regions = [(t, -t, (rng.randint(-6, 6), rng.randint(-6, 6))) for t in ts]
+                assert scanned(p, q, -p, -q, regions, window) == [
+                    clamped_interval_scan(p, q, -p, -q, *region, window) for region in regions
+                ], (p, q, regions, window)
 
     def test_region_pixels_matches_center_membership(self):
         rng = random.Random(94)

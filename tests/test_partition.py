@@ -232,7 +232,7 @@ def test_partition_is_the_shared_integer_bases():
     for slopes in _all_slopes(5):
         a, b, c, d = slopes.as_tuple()
         D = slopes.count
-        bases = list(cell_bases(slopes))
+        bases = list(cell_bases(a, b, c, d))
         assert [j for j, _, _ in bases] == list(range(D))
         assert all(0 <= x < 2 * D and 0 <= y < 2 * D for _, x, y in bases)
         e1, e2 = (F(b, D), F(a, D)), (F(-d, D), F(-c, D))

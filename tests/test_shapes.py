@@ -24,7 +24,7 @@ from pixelwedge import (
     shape_of_spec,
 )
 from pixelwedge.digitize import region_pixels
-from pixelwedge.shapes import _bitmaps, class_fingerprint, class_signatures, separating_window
+from pixelwedge.shapes import _bitmaps, class_fingerprints, class_signatures, separating_window
 from pixelwedge.verify import coprime_pairs, hobby_region_check
 
 from conftest import coprime_pair, corner_st, slopes_st
@@ -280,7 +280,8 @@ class TestLemmaOnBitmaps:
     def test_shifted_params_share_fingerprints(self, slopes, alpha, beta, k, l):
         a2, b2 = shift_params(slopes, alpha, beta, k, l)
         w = 10
-        assert class_fingerprint(slopes, alpha, beta, w) == class_fingerprint(slopes, a2, b2, w)
+        base, shifted = class_fingerprints(slopes.as_tuple(), [(alpha, beta), (a2, b2)], w)
+        assert shifted == base
 
 
 class TestCompleteInvariant:
@@ -420,7 +421,7 @@ class TestSeparatingWindow:
     def separates(pair):
         slopes = Slopes(*pair)
         window = max(abs(e) for e in pair)
-        sigs = [class_fingerprint(slopes, 0, j, window)[0] for j in range(slopes.count)]
+        sigs = [sig for sig, _ in class_fingerprints(pair, [(0, j) for j in range(slopes.count)], window)]
         return all(sigs) and len(set(sigs)) == slopes.count
 
     def test_every_pair_with_entries_up_to_five(self):
@@ -443,7 +444,10 @@ class TestSeparatingWindow:
             assert separating_window(Slopes(*pair), window) == grown, pair
 
     def test_collision_at_the_separating_window_stops_the_doubling(self, monkeypatch):
-        monkeypatch.setattr("pixelwedge.shapes.class_fingerprint", lambda *args: (((0, 0, 0),), (0, 0)))
+        monkeypatch.setattr(
+            "pixelwedge.shapes.class_fingerprints",
+            lambda pair, thresholds, window: [(((0, 0, 0),), (0, 0)) for _ in thresholds],
+        )
         with pytest.raises(AssertionError, match=r"classes of \(10, 1, -1, 10\) collide at window 16"):
             class_signatures(Slopes(10, 1, -1, 10), 1)
 

@@ -20,10 +20,10 @@ from pixelwedge import (
     theorem_sweep,
 )
 from pixelwedge import cli, verify
-from pixelwedge.digitize import digitize_angle_path, is_pixel_center
+from pixelwedge.digitize import digitize_angle_path, is_pixel_center, threshold_ceilings
 from pixelwedge.exact import extended_gcd
 from pixelwedge.partition import cell_bases
-from pixelwedge.shapes import canonicalize, class_signatures
+from pixelwedge.shapes import canonicalize, class_of_params, class_signatures
 from pixelwedge.verify import chi2_q999, coprime_pairs
 
 from oracles import column_interval, fraction_thresholds, integer_tie_in_window
@@ -509,8 +509,8 @@ class TestSweep:
         assert "PASS" in report.table()
 
     def test_rotated_cell_indices_fail(self, monkeypatch):
-        def rotated(slopes):
-            return [((j + 1) % slopes.count, x, y) for j, x, y in cell_bases(slopes)]
+        def rotated(a, b, c, d):
+            return [((j + 1) % abs(a * d - b * c), x, y) for j, x, y in cell_bases(a, b, c, d)]
 
         monkeypatch.setattr("pixelwedge.verify.cell_bases", rotated)
         report = theorem_sweep(3)
@@ -522,14 +522,14 @@ class TestSweep:
     def test_fingerprint_collision_fails_the_entry(self, monkeypatch, capsys):
         # the sweep counts classes as distinct fingerprints; give every class
         # of one pair the same fingerprint
-        real = verify.class_fingerprint
+        real = verify.class_fingerprints
 
-        def colliding(slopes, alpha, beta, window):
-            if slopes.as_tuple() == (2, 1, -3, 1):
-                return ((0, 0, 0),), (0, 0)
-            return real(slopes, alpha, beta, window)
+        def colliding(pair, thresholds, window):
+            if tuple(pair) == (2, 1, -3, 1):
+                return [(((0, 0, 0),), (0, 0)) for _ in thresholds]
+            return real(pair, thresholds, window)
 
-        monkeypatch.setattr(verify, "class_fingerprint", colliding)
+        monkeypatch.setattr(verify, "class_fingerprints", colliding)
         report = theorem_sweep(5)
         assert report.ok is False
         [entry] = report.failures
@@ -544,21 +544,34 @@ class TestSweep:
     def test_cell_moved_by_an_edge_fails(self, monkeypatch):
         # every pair of the D <= 6 sweep: moving one cell's base by e1 = (b, a)/D
         # or e2 = (-d, -c)/D, mod 1, moves its centre into a neighbouring class;
-        # at D = 1 both edges are integer vectors and the move is no move
+        # at D = 1 both edges are integer vectors and the move is no move.
+        # Each unmoved cell's centre is also of its own class by the Bezout
+        # formula, which the lattice check does not call.
         bases = []
-        monkeypatch.setattr("pixelwedge.verify.cell_bases", lambda slopes: bases)
+        monkeypatch.setattr("pixelwedge.verify.cell_bases", lambda a, b, c, d: bases)
         for entry in theorem_sweep(6).entries:
             slopes = Slopes(*entry.slopes)
             a, b, c, d = entry.slopes
             q = 2 * slopes.count
-            shared = list(cell_bases(slopes))
+            shared = list(cell_bases(a, b, c, d))
             bases[:] = shared
-            assert verify.cells_match_classes(slopes), entry
+            assert verify.cells_match_classes(a, b, c, d), entry
             for k, (j, x, y) in enumerate(shared):
+                assert class_of_params(slopes, *threshold_ceilings(a, b, c, d, x + b - d, y + a - c, q)) == j
                 for ex, ey in ((2 * b, 2 * a), (-2 * d, -2 * c)):
                     bases[:] = shared
                     bases[k] = (j, (x + ex) % q, (y + ey) % q)
-                    assert verify.cells_match_classes(slopes) == (slopes.count == 1), (entry, k, ex, ey)
+                    assert verify.cells_match_classes(a, b, c, d) == (slopes.count == 1), (entry, k, ex, ey)
+
+    def test_sweep_builds_no_slopes(self, monkeypatch):
+        # the sweep's pairs are coprime by construction and run on plain
+        # integers; a Slopes built per pair would raise here
+        def refuse(slopes):
+            raise AssertionError(f"theorem_sweep built {slopes!r}")
+
+        monkeypatch.setattr(Slopes, "__post_init__", refuse)
+        report = theorem_sweep(8, 3)
+        assert report.ok and len(report.entries) == 848
 
     def test_class_count_matches_enumerated_bitmaps(self):
         for entry in theorem_sweep(8).entries:
