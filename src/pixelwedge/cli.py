@@ -24,7 +24,7 @@ from .shapes import class_index, default_window, enumerate_shapes, region_params
 from .verify import coprime_pairs, sample_class_frequencies, sample_work, theorem_sweep
 
 _VALUE_FLAGS = ("--slope1", "--slope2", "--corner")
-# `sweep N` scans ~N**4 slope pairs; this admits N <= 19 (921600 pairs, ~13 s on 2 CPUs)
+# `sweep N` scans ~N**4 slope pairs; this admits N <= 19 (921600 pairs, ~10 s on 2 CPUs)
 SWEEP_PAIR_LIMIT = 1_000_000
 # `verify` keeps a count per class, in every block; this admits D <= 10**6 (8 MB a list)
 VERIFY_CLASS_LIMIT = 1_000_000

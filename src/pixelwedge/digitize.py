@@ -133,16 +133,19 @@ def threshold_ceilings(a: int, b: int, c: int, d: int, x: int, y: int, q: int) -
 
 def window_columns(a: int, b: int, c: int, d: int, regions, window: int):
     """The one column scan: for each region (alpha, beta, anchor) in turn,
-    integer thresholds and a pixel, yields its member rows (m, lo, hi),
-    inclusive, of the columns of the (2*window+1)^2 box centred on `anchor`,
-    in increasing m, and their lowest row (the box's top row when no column
-    is a member). Empty columns are left out. The pairs may be parallel:
-    (c, d, beta) = (-a, -b, -alpha) gives the degenerate strip
+    integer thresholds and a pixel, yields (origin, runs, low) for its member
+    pixels in the (2*window+1)^2 box centred on `anchor`. `origin` is the
+    first member pixel (m0, n0), the lowest of the first member column, or
+    None. `runs` holds each member column's rows as (m - m0, lo - n0,
+    hi - n0), inclusive, in increasing m; it is the set's fingerprint, equal
+    exactly when two boxed sets are translates. `low` is the lowest member
+    row (the box's top row when no column is a member). The pairs may be
+    parallel: (c, d, beta) = (-a, -b, -alpha) gives the degenerate strip
     a*m - b*n == alpha, the pixels whose centres lie on that line.
     """
     for alpha, beta, (am, an) in regions:
         bottom, top = an - window, an + window
-        low, cols = top, []
+        low, origin, runs = top, None, []
         for m in range(am - window, am + window + 1):
             lo, hi = bottom, top
             v = a * m - alpha
@@ -168,10 +171,12 @@ def window_columns(a: int, b: int, c: int, d: int, regions, window: int):
             elif v < 0:
                 continue
             if lo <= hi:
-                cols.append((m, lo, hi))
+                if origin is None:
+                    origin = m0, n0 = m, lo
+                runs.append((m - m0, lo - n0, hi - n0))
                 if lo < low:
                     low = lo
-        yield cols, low
+        yield origin, tuple(runs), low
 
 
 def region_pixels(spec: AngleSpec, window: int) -> set[PixelIndex]:
@@ -181,8 +186,9 @@ def region_pixels(spec: AngleSpec, window: int) -> set[PixelIndex]:
         raise ValueError("window must be >= 1")
     x, y, q = spec.xyq
     a, b, c, d = spec.a, spec.b, spec.c, spec.d
-    [(cols, _)] = window_columns(a, b, c, d, [(*threshold_ceilings(a, b, c, d, x, y, q), (x // q, y // q))], window)
-    return {(m, n) for m, lo, hi in cols for n in range(lo, hi + 1)}
+    [(origin, runs, _)] = window_columns(a, b, c, d, [(*threshold_ceilings(a, b, c, d, x, y, q), (x // q, y // q))], window)
+    m0, n0 = origin or (0, 0)
+    return {(m0 + m, n) for m, lo, hi in runs for n in range(n0 + lo, n0 + hi + 1)}
 
 
 # --- segment / polyline digitization -----------------------------------------

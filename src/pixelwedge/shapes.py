@@ -66,30 +66,29 @@ def equivalent(p1: RegionParams, p2: RegionParams, slopes: Slopes) -> bool:
     return class_of_params(slopes, p1.alpha_ceil - p2.alpha_ceil, p1.beta_ceil - p2.beta_ceil) == 0
 
 
-Columns = tuple[tuple[int, int, int], ...]  # (column, row_lo, row_hi) inclusive
+Columns = tuple[tuple[int, int, int], ...]  # (column, row_lo, row_hi) inclusive, from the first pixel
+
+
+def anchored_regions(a: int, b: int, c: int, d: int, thresholds) -> list:
+    """(alpha, beta, anchor) of each threshold pair, the anchor the floor of the
+    boundary-line crossing: it moves by (k, l) when the region does."""
+    det = a * d - b * c
+    return [(alpha, beta, ((d * alpha - b * beta) // det, (c * alpha - a * beta) // det)) for alpha, beta in thresholds]
 
 
 def class_fingerprints(pair: tuple[int, int, int, int], thresholds, window: int):
-    """For each integer threshold pair (alpha, beta) in turn, the canonical
-    (translation-normalised) column table of R(alpha, beta) clipped to the
-    window around its anchor, and the anchor's position in canonical
-    coordinates; ((), (0, 0)) for a region with no pixel in its window.
+    """For each integer threshold pair (alpha, beta) in turn, the `window_columns`
+    runs of R(alpha, beta) in the window around its anchor, and the anchor in
+    canonical coordinates (minimum column and row 0); ((), (0, 0)) when the
+    window holds no pixel. Equivalent pairs give equal fingerprints."""
+    regions = anchored_regions(*pair, thresholds)
+    for (_, _, (am, an)), (origin, runs, low) in zip(regions, window_columns(*pair, regions, window)):
+        yield runs, (0, 0) if origin is None else (am - origin[0], an - low)
 
-    The anchor is the floor of the boundary-line crossing. It depends on the
-    region only and shifts by exactly (k, l) when the region is translated by
-    (k, l), so equivalent parameter pairs produce identical fingerprints at
-    equal window. All regions go through one `window_columns` scan.
-    """
-    a, b, c, d = pair
-    det = a * d - b * c
-    regions = [(alpha, beta, ((d * alpha - b * beta) // det, (c * alpha - a * beta) // det))
-               for alpha, beta in thresholds]
-    for (_, _, (am, an)), (cols, min_n) in zip(regions, window_columns(a, b, c, d, regions, window)):
-        if not cols:
-            yield (), (0, 0)
-            continue
-        min_m = cols[0][0]
-        yield tuple([(m - min_m, lo - min_n, hi - min_n) for m, lo, hi in cols]), (am - min_m, an - min_n)
+
+def _row_shift(runs: Columns) -> int:
+    """Rows from the first pixel plus this are canonical rows, whose minimum is 0."""
+    return -min([lo for _, lo, _ in runs], default=0)
 
 
 def canonicalize(ps) -> PixelSet:
@@ -164,8 +163,8 @@ def class_signatures(slopes: Slopes, window: int | None = None) -> tuple[int, li
 
 
 def _bitmaps(sigs: list[Columns]) -> list[PixelSet]:
-    """Pixel sets of canonical column tables, built from one grid of (m, n)
-    tuples that all of them share.
+    """Canonical pixel sets of column tables, built from one grid of (m, n)
+    tuples that all share; rows shift to canonical in slices and comparisons.
 
     Neighbouring classes differ in few pixels. One mutable working set
     carries a class's pixels into the next when both have the same column
@@ -176,27 +175,30 @@ def _bitmaps(sigs: list[Columns]) -> list[PixelSet]:
     one before it is built from its runs, and the working set is taken from
     it only once a class follows with the same column list.
     """
+    shifts = [_row_shift(sig) for sig in sigs]
     width = 1 + max(sig[-1][0] for sig in sigs)
-    height = 1 + max(hi for sig in sigs for _, _, hi in sig)
+    height = 1 + max(hi + s for sig, s in zip(sigs, shifts) for _, _, hi in sig)
     grid = [[(m, n) for n in range(height)] for m in range(width)]
     out: list[PixelSet] = []
     work: set | None = None
-    prev_sig, prev_cols = (), None
-    for sig in sigs:
+    prev_sig, prev_cols, s0 = (), None, 0
+    for sig, s1 in zip(sigs, shifts):
         cols = [m for m, _, _ in sig]
         if cols == prev_cols:
             if work is None:
                 work = set(out[-1])
+            k = s1 - s0  # canonical rows agree where lo0 - lo1 == k
             for (m, lo0, hi0), (_, lo1, hi1) in zip(prev_sig, sig):
-                if lo0 != lo1 or hi0 != hi1:
+                if lo0 - lo1 != k or hi0 - hi1 != k:
                     col = grid[m]
+                    lo0, hi0, lo1, hi1 = lo0 + s0, hi0 + s0, lo1 + s1, hi1 + s1
                     work.symmetric_difference_update(col[min(lo0, lo1) : max(lo0, lo1)])
                     work.symmetric_difference_update(col[min(hi0, hi1) + 1 : max(hi0, hi1) + 1])
             out.append(frozenset(work))
         else:
             work = None
-            out.append(frozenset(chain.from_iterable(grid[m][lo : hi + 1] for m, lo, hi in sig)))
-        prev_sig, prev_cols = sig, cols
+            out.append(frozenset(chain.from_iterable(grid[m][lo + s1 : hi + s1 + 1] for m, lo, hi in sig)))
+        prev_sig, prev_cols, s0 = sig, cols, s1
     return out
 
 
@@ -219,7 +221,8 @@ def shape_of_spec(spec: AngleSpec, window: int | None = None) -> ShapeClass:
         raise ValueError("window must be >= 1")
     alpha, beta = threshold_ceilings(spec.a, spec.b, spec.c, spec.d, *spec.xyq)
     [(sig, corner)] = class_fingerprints(slopes.as_tuple(), [(alpha, beta)], w)
-    bitmap = frozenset((m, n) for m, lo, hi in sig for n in range(lo, hi + 1))
+    s = _row_shift(sig)
+    bitmap = frozenset((m, n) for m, lo, hi in sig for n in range(lo + s, hi + s + 1))
     return ShapeClass(slopes.as_tuple(), class_of_params(slopes, alpha, beta), w, bitmap, corner)
 
 

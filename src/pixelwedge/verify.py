@@ -29,7 +29,7 @@ from .digitize import (
 )
 from .errors import PixelCenterHit
 from .partition import cell_bases, partition_unit_square
-from .shapes import class_fingerprints, class_of_params, region_params
+from .shapes import anchored_regions, class_of_params, region_params
 
 
 def _gamma_p(s: float, x: float) -> float:
@@ -286,7 +286,7 @@ def hobby_region_check(spec: AngleSpec, window: int) -> bool:
     m0, n0 = x // q, y // q
     w = window
     for p, r, t, ceil in ((spec.a, spec.b, rp.alpha, rp.alpha_ceil), (spec.c, spec.d, rp.beta, rp.beta_ceil)):
-        if t == ceil and next(window_columns(p, r, -p, -r, [(ceil, -ceil, (m0, n0))], w + 1))[0]:
+        if t == ceil and next(window_columns(p, r, -p, -r, [(ceil, -ceil, (m0, n0))], w + 1))[1]:
             raise PixelCenterHit("a boundary line passes through a window pixel center")
 
     path = digitize_angle_path(spec, w + 4)
@@ -299,10 +299,11 @@ def hobby_region_check(spec: AngleSpec, window: int) -> bool:
 
     # one row and column past the window, so that an end clamped to the box
     # lies outside the window and is never taken for a flip
-    [(cols, _)] = window_columns(spec.a, spec.b, spec.c, spec.d, [(rp.alpha_ceil, rp.beta_ceil, (m0, n0))], w + 1)
+    [(origin, runs, _)] = window_columns(spec.a, spec.b, spec.c, spec.d, [(rp.alpha_ceil, rp.beta_ceil, (m0, n0))], w + 1)
+    om, on = origin or (0, 0)
     flips = {
-        (m, n) for m, lo, hi in cols for n in (lo, hi + 1)
-        if abs(m - m0) <= w and abs(n - n0) <= w
+        (om + m, on + n) for m, lo, hi in runs for n in (lo, hi + 1)
+        if abs(om + m - m0) <= w and abs(on + n - n0) <= w
     }
     path_edges = {
         (m, n) for (m, n), parity in edge_parity.items()
@@ -327,7 +328,7 @@ def coprime_pairs(bound: int) -> list[tuple[int, int]]:
 class SweepEntry:
     slopes: tuple[int, int, int, int]
     expected: int
-    classes: int  # distinct nonempty class fingerprints at window max |entry|
+    classes: int  # distinct nonempty `window_columns` runs of the (0, j) regions at window max |entry|
     areas_ok: bool  # cells_match_classes: each partition cell holds its own class
 
     @property
@@ -388,15 +389,15 @@ def theorem_sweep(max_shapes: int, max_entry: int | None = None) -> SweepReport:
     of its own class, over every coprime slope pair with entries bounded by
     max_entry and 1 <= D <= max_shapes.
 
-    Classes are counted as the distinct nonempty fingerprints at the window
-    max(|a|, |b|, |c|, |d|), so no bitmap is built. Each clips the region
-    around an anchor that moves with it, so distinct fingerprints prove
-    distinct classes; class_signatures proves that this window shows all D,
-    and a collision leaves an entry with fewer classes than expected.
+    Classes are counted as the distinct nonempty `window_columns` runs of
+    R(0, j) at the window max(|a|, |b|, |c|, |d|), so no bitmap is built.
+    Each clips the region around an anchor that moves with it, so distinct
+    runs prove distinct classes; class_signatures proves that this window
+    shows all D, and a collision leaves an entry with fewer than expected.
 
     The pairs are coprime by construction, so each is swept as plain
-    integers: no `Slopes` and no Bezout pair, one `class_fingerprints` scan
-    over its D classes, and `cells_match_classes` on the translation lattice.
+    integers: no `Slopes` and no Bezout pair, one column scan over its D
+    classes, and `cells_match_classes` on the translation lattice.
     """
     if max_shapes < 1:
         raise ValueError("max_shapes must be >= 1")
@@ -411,7 +412,8 @@ def theorem_sweep(max_shapes: int, max_entry: int | None = None) -> SweepReport:
             if det == 0 or abs(det) > max_shapes:
                 continue
             count, window = abs(det), max(abs(a), abs(b), abs(c), abs(d))
-            sigs = {sig for sig, _ in class_fingerprints((a, b, c, d), [(0, j) for j in range(count)], window)}
+            regions = anchored_regions(a, b, c, d, [(0, j) for j in range(count)])
+            sigs = {runs for _, runs, _ in window_columns(a, b, c, d, regions, window)}
             sigs.discard(())
             report.entries.append(SweepEntry((a, b, c, d), count, len(sigs), cells_match_classes(a, b, c, d)))
     return report

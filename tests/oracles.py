@@ -71,10 +71,20 @@ def integer_tie_in_window(a, b, alpha, m_range, n_range):
     return False
 
 
+def min_row_table(runs):
+    """A column table (column, row_lo, row_hi) translated so that its first
+    column and its lowest row are 0: the canonical table, whose pixels are
+    `canonicalize` of the table's pixels."""
+    if not runs:
+        return ()
+    min_m, min_n = runs[0][0], min(lo for _, lo, _ in runs)
+    return tuple((m - min_m, lo - min_n, hi - min_n) for m, lo, hi in runs)
+
+
 def direct_bitmaps(sigs):
-    """Pixel sets of canonical column tables (column, row_lo, row_hi), each
-    built from its own runs alone."""
-    return [frozenset((m, n) for m, lo, hi in sig for n in range(lo, hi + 1)) for sig in sigs]
+    """Canonical pixel sets of column tables, each built from its own
+    min-row table alone."""
+    return [frozenset((m, n) for m, lo, hi in min_row_table(sig) for n in range(lo, hi + 1)) for sig in sigs]
 
 
 class FragmentLocator:

@@ -180,8 +180,10 @@ def test_criterion_8_ceiling_identity():
             beta = F(rng.randint(-1200, 1200), rng.randint(1, 97))
             expected = box_pixels(slopes, alpha, beta)
             assert expected == box_pixels(slopes, math.ceil(alpha), math.ceil(beta))
-            [(cols, _)] = window_columns(a, b, c, d, [(math.ceil(alpha), math.ceil(beta), (0, 0))], 10)
-            assert expected == {(m, n) for m, lo, hi in cols for n in range(lo, hi + 1)}
+            [(origin, runs, _)] = window_columns(a, b, c, d, [(math.ceil(alpha), math.ceil(beta), (0, 0))], 10)
+            m0, n0 = origin or (0, 0)
+            assert expected == {(m0 + m, n0 + n) for m, lo, hi in runs for n in range(lo, hi + 1)}
+            assert (origin is None) == (not expected)
 
 
 def test_criterion_9_apex_asymmetry():

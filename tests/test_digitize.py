@@ -221,10 +221,15 @@ def clamped_interval_scan(a, b, c, d, alpha, beta, anchor, window):
 
 
 def scanned(a, b, c, d, regions, window):
-    """window_columns' column lists, one per region, each checked against
-    the lowest row yielded with it (the box's top row when it is empty)."""
+    """window_columns' column lists in absolute rows, one per region, each
+    checked against the origin yielded with it (its first column's lowest
+    pixel, None when it is empty) and the lowest row (the box's top row
+    when it is empty)."""
     out = []
-    for (_, _, (_, an)), (cols, low) in zip(regions, window_columns(a, b, c, d, regions, window), strict=True):
+    for (_, _, (_, an)), (origin, runs, low) in zip(regions, window_columns(a, b, c, d, regions, window), strict=True):
+        m0, n0 = origin or (0, 0)
+        cols = [(m0 + m, n0 + lo, n0 + hi) for m, lo, hi in runs]
+        assert origin == (cols[0][:2] if cols else None)
         assert low == min([lo for _, lo, _ in cols], default=an + window)
         out.append(cols)
     return out

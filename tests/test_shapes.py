@@ -23,12 +23,12 @@ from pixelwedge import (
     region_params,
     shape_of_spec,
 )
-from pixelwedge.digitize import region_pixels
-from pixelwedge.shapes import _bitmaps, class_fingerprints, class_signatures, separating_window
+from pixelwedge.digitize import region_pixels, window_columns
+from pixelwedge.shapes import _bitmaps, anchored_regions, class_fingerprints, class_signatures, separating_window
 from pixelwedge.verify import coprime_pairs, hobby_region_check
 
 from conftest import coprime_pair, corner_st, slopes_st
-from oracles import direct_bitmaps, fraction_thresholds, shift_params
+from oracles import direct_bitmaps, fraction_thresholds, min_row_table, shift_params
 
 F = Fraction
 
@@ -452,15 +452,54 @@ class TestSeparatingWindow:
             class_signatures(Slopes(10, 1, -1, 10), 1)
 
 
+class TestFingerprintStrength:
+    def test_runs_are_equal_iff_boxed_sets_are_translates(self):
+        # windows run from 1 to max |entry|, below which the boxed sets of
+        # distinct classes can coincide; the regions are the D classes, some
+        # translates of them and some boxes placed at random. Runs from the
+        # first pixel must merge and separate them exactly as `canonicalize`
+        # does, also where two translates sit at different offsets from
+        # their anchors, which runs taken from the anchor would keep apart.
+        rng = random.Random(97)
+        pairs = coprime_pairs(5)
+        compared = off_anchor = 0
+        for _ in range(150):
+            (a, b), (c, d) = rng.choice(pairs), rng.choice(pairs)
+            det = a * d - b * c
+            if det == 0:
+                continue
+            slopes = Slopes(a, b, c, d)
+            thresholds = [(0, j) for j in range(abs(det))]
+            thresholds += [shift_params(slopes, 0, rng.randrange(abs(det)), rng.randint(-4, 4), rng.randint(-4, 4))
+                           for _ in range(3)]
+            regions = anchored_regions(a, b, c, d, thresholds)
+            regions += [(rng.randint(-9, 9), rng.randint(-9, 9), (rng.randint(-5, 5), rng.randint(-5, 5)))
+                        for _ in range(3)]
+            window = rng.randint(1, max(abs(a), abs(b), abs(c), abs(d)))
+            seen = []
+            for (_, _, anchor), (origin, runs, _) in zip(regions, window_columns(a, b, c, d, regions, window)):
+                m0, n0 = origin or (0, 0)
+                pixels = canonicalize((m0 + m, n) for m, lo, hi in runs for n in range(n0 + lo, n0 + hi + 1))
+                offset = origin and (origin[0] - anchor[0], origin[1] - anchor[1])
+                for runs2, pixels2, offset2 in seen:
+                    assert (runs == runs2) == (pixels == pixels2), (a, b, c, d, window)
+                    off_anchor += pixels == pixels2 and offset != offset2
+                    compared += 1
+                seen.append((runs, pixels, offset))
+        assert compared > 10000 and off_anchor > 100, (compared, off_anchor)
+
+
 def column_tables(pair):
-    """The class tables of a pair at the sweep's base window max |entry|."""
+    """The class tables of a pair at the sweep's base window max |entry|,
+    rows taken from each table's first pixel."""
     window = max(abs(e) for e in pair)
     return [sig for sig, _ in class_signatures(Slopes(*pair), window)[1]]
 
 
 def neighbour_moves(sigs):
     """(runs disjoint from the same column's run in the class before, classes
-    whose column list differs from the one before)."""
+    whose column list differs from the one before), in canonical rows."""
+    sigs = [min_row_table(sig) for sig in sigs]
     disjoint = changed = 0
     for s0, s1 in zip(sigs, sigs[1:]):
         if [m for m, _, _ in s0] != [m for m, _, _ in s1]:
@@ -478,7 +517,7 @@ class TestBitmapsAgainstDirectBuild:
             sigs = column_tables(pair)
             assert neighbour_moves(sigs) == moves, pair
             assert _bitmaps(sigs) == direct_bitmaps(sigs), pair
-        sigs = column_tables((-1, -3, -1, -1))
+        sigs = [min_row_table(sig) for sig in column_tables((-1, -3, -1, -1))]
         assert (6, 4, 4) in sigs[0] and (6, 3, 3) in sigs[1]
 
     def test_every_small_pair_and_seeded_large_pairs(self):
@@ -495,7 +534,7 @@ class TestBitmapsAgainstDirectBuild:
             a, b, c, d = pair = tuple(rng.randint(-16, 16) for _ in range(4))
             if math.gcd(a, b) == 1 and math.gcd(c, d) == 1 and 26 <= abs(a * d - b * c) <= 250:
                 large.append(pair)
-        disjoint = changed = derived = 0
+        disjoint = changed = derived = shifted = 0
         for pair in pairs + large:
             sigs = column_tables(pair)
             out = _bitmaps(sigs)
@@ -507,8 +546,14 @@ class TestBitmapsAgainstDirectBuild:
             disjoint += moves[0]
             changed += moves[1]
             derived += len(sigs) - 1 - moves[1]
+            # derived classes whose first pixel sits at another height above
+            # the lowest row than in the class before
+            lows = [min(lo for _, lo, _ in sig) for sig in sigs]
+            shifted += sum(lows[k] != lows[k + 1] for k in range(len(sigs) - 1)
+                           if [m for m, _, _ in sigs[k]] == [m for m, _, _ in sigs[k + 1]])
         # every branch of the derivation ran, many times
-        assert disjoint > 100 and changed > 1000 and derived > 10000, (disjoint, changed, derived)
+        assert disjoint > 100 and changed > 1000 and derived > 10000 and shifted > 1000, (
+            disjoint, changed, derived, shifted)
 
     def test_shape_of_spec_is_its_enumerated_class(self):
         # shape_of_spec builds its one table directly, enumerate_shapes

@@ -26,7 +26,7 @@ from pixelwedge.partition import cell_bases
 from pixelwedge.shapes import canonicalize, class_of_params, class_signatures
 from pixelwedge.verify import chi2_q999, coprime_pairs
 
-from oracles import column_interval, fraction_thresholds, integer_tie_in_window
+from oracles import column_interval, direct_bitmaps, fraction_thresholds, integer_tie_in_window
 
 F = Fraction
 
@@ -520,16 +520,16 @@ class TestSweep:
         assert all(e.areas_ok == (e.expected == 1) for e in report.entries)
 
     def test_fingerprint_collision_fails_the_entry(self, monkeypatch, capsys):
-        # the sweep counts classes as distinct fingerprints; give every class
-        # of one pair the same fingerprint
-        real = verify.class_fingerprints
+        # the sweep counts classes as distinct runs of the column scan; give
+        # every class of one pair the same runs
+        real = verify.window_columns
 
-        def colliding(pair, thresholds, window):
-            if tuple(pair) == (2, 1, -3, 1):
-                return [(((0, 0, 0),), (0, 0)) for _ in thresholds]
-            return real(pair, thresholds, window)
+        def colliding(a, b, c, d, regions, window):
+            if (a, b, c, d) == (2, 1, -3, 1):
+                return [(anchor, ((0, 0, 0),), anchor[1]) for _, _, anchor in regions]
+            return real(a, b, c, d, regions, window)
 
-        monkeypatch.setattr(verify, "class_fingerprints", colliding)
+        monkeypatch.setattr(verify, "window_columns", colliding)
         report = theorem_sweep(5)
         assert report.ok is False
         [entry] = report.failures
@@ -581,14 +581,16 @@ class TestSweep:
             w = max(abs(e) for e in entry.slopes)
             assert w <= shapes[0].window
             # each sweep fingerprint is its class's enumerated bitmap clipped
-            # to the (2w+1)^2 box around the corner pixel, anchor included
+            # to the (2w+1)^2 box around the corner pixel, taken from the
+            # box's first pixel, anchor included
             window, sigs = class_signatures(slopes, w)
             assert window == w, entry
             for shape, (sig, anchor) in zip(shapes, sigs, strict=True):
                 cm, cn = shape.corner_pixel
                 box = {(m, n) for m, n in shape.bitmap if abs(m - cm) <= w and abs(n - cn) <= w}
                 min_m, min_n = min(m for m, _ in box), min(n for _, n in box)
-                assert canonicalize(box) == {(m, n) for m, lo, hi in sig for n in range(lo, hi + 1)}, entry
+                assert sig[0][:2] == (0, 0), entry
+                assert canonicalize(box) == direct_bitmaps([sig])[0], entry
                 assert anchor == (cm - min_m, cn - min_n), entry
 
 
