@@ -41,8 +41,8 @@ VERIFY_WORK_LIMIT = 100_000_000
 # `render` draws one (2w+1)**2 box at its own w, and is held to the same limit
 ENUMERATE_PIXEL_LIMIT = 10_000_000
 # `partition` writes D cells (json) or every cell's pieces (svg, see fragment_bound);
-# near 10**5, json took ~4 s at D = 99999, and svg ~3 s and 110 MB for the one thin
-# cell of 24999/24998, 25000/24999 (bound 100000, 99998 pieces) on 2 CPUs
+# near 10**5, json took ~3.6-4.0 s and 262 MB at D = 99999, and svg ~3 s and 110 MB for
+# the one thin cell of 24999/24998, 25000/24999 (bound 100000, 99998 pieces) on 2 CPUs
 PARTITION_PIECE_LIMIT = 100_000
 # `digitize` traces up to `path_vertex_bound` vertices; near 10**5 (99186 for 2/1, -3/1
 # at --window 35000) a run took ~3.8 s with --corner 0.1,0.71 and ~5.0 s with a 300-character

@@ -2,9 +2,11 @@
 
 Corner points (x0, y0) with equal shape class fill a parallelogram lattice;
 reduced mod 1 the D parallelograms tile the unit square, each with area 1/D.
-Each cell's corners, unit-square fragments and rendered text come from one
-integer form (`_int_corners`); a locator finds a point's cell on that
-lattice with integer arithmetic and refuses points on a cell boundary.
+Every cell is based at an integer point over 2D and shares the edges
+(b, a)/D and (-d, -c)/D, so each cell's corners, unit-square fragments and
+rendered text come from one integer form over 2D (`_int_corners`); a locator
+finds a point's cell on that lattice with integer arithmetic and refuses
+points on a cell boundary.
 """
 from __future__ import annotations
 
@@ -17,55 +19,50 @@ from .digitize import Point, Slopes
 from .errors import PartitionBoundary
 from .exact import common_denominator, format_rational
 
-Vec = tuple[Fraction, Fraction]
 
-
-def _shoelace(poly) -> int | Fraction:
-    """Twice the signed area of a polygon, positive for counterclockwise."""
+def _shoelace(poly) -> int:
+    """Twice the signed area of an integer polygon, positive for counterclockwise."""
     return sum(x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in zip(poly, poly[1:] + poly[:1]))
 
 
-def _ccw(corners) -> list:
-    """Corners (base, +e1, +e2, +e1+e2) as a counterclockwise cycle."""
-    c0, c1, c2, c3 = corners
-    cycle = [c0, c1, c3, c2]
-    return cycle if _shoelace(cycle) > 0 else [c0, c2, c3, c1]
-
-
 def _int_corners(cell: Parallelogram) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """The lcm q of the cell's coordinate denominators, and its corners
-    (base, +e1, +e2, +e1+e2) as integer pairs over q."""
-    coords = (*cell.base, *cell.edge1, *cell.edge2)
-    q = math.lcm(*(v.denominator for v in coords))
-    bx, by, ux, uy, wx, wy = (v.numerator * (q // v.denominator) for v in coords)
-    return q, ((bx, by), (bx + ux, by + uy), (bx + wx, by + wy), (bx + ux + wx, by + uy + wy))
+    """n = 2D and the cell's corners (base, +e1, +e2, +e1+e2) as integer
+    pairs over n: e1 = (b, a)/D and e2 = (-d, -c)/D are (2b, 2a) and
+    (-2d, -2c) over n."""
+    a, b, c, d = cell.slopes.as_tuple()
+    x, y = cell.x, cell.y
+    ux, uy, wx, wy = 2 * b, 2 * a, -2 * d, -2 * c
+    return 2 * cell.slopes.count, ((x, y), (x + ux, y + uy), (x + wx, y + wy), (x + ux + wx, y + uy + wy))
 
 
 @dataclass(frozen=True)
 class Parallelogram:
-    """One partition cell: base corner (mod-1 representative) plus two edges."""
+    """One partition cell of `slopes`: its base corner (x, y)/(2D), the
+    mod-1 representative with 0 <= x, y < 2D, plus the shared edges
+    (b, a)/D and (-d, -c)/D."""
 
     index: int
-    base: Point
-    edge1: Vec
-    edge2: Vec
+    slopes: Slopes
+    x: int
+    y: int
 
     @property
     def area(self) -> Fraction:
-        (ux, uy), (wx, wy) = self.edge1, self.edge2
-        return abs(ux * wy - uy * wx)
+        """|e1 x e2|, from the integer corners over 2D; 1/D."""
+        n, ((x0, y0), (x1, y1), (x2, y2), _) = _int_corners(self)
+        return Fraction(abs((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)), n * n)
 
     def to_json_dict(self) -> dict:
         """Base, edges and corners (base, +e1, +e2, +e1+e2) as "num/den" text,
         all from the one integer form of `_int_corners`."""
-        q, corners = _int_corners(self)
-        (bx, by), (ux, uy), (wx, wy) = corners[:3]
+        n, corners = _int_corners(self)
+        a, b, c, d = self.slopes.as_tuple()
         return {
             "index": self.index,
-            "base": [format_rational(bx, q), format_rational(by, q)],
-            "edge1": [format_rational(ux - bx, q), format_rational(uy - by, q)],
-            "edge2": [format_rational(wx - bx, q), format_rational(wy - by, q)],
-            "corners": [[format_rational(x, q), format_rational(y, q)] for x, y in corners],
+            "base": [format_rational(self.x, n), format_rational(self.y, n)],
+            "edge1": [format_rational(2 * b, n), format_rational(2 * a, n)],
+            "edge2": [format_rational(-2 * d, n), format_rational(-2 * c, n)],
+            "corners": [[format_rational(x, n), format_rational(y, n)] for x, y in corners],
         }
 
 
@@ -89,12 +86,8 @@ def cell_bases(a: int, b: int, c: int, d: int):
 
 
 def partition_unit_square(slopes: Slopes) -> list[Parallelogram]:
-    """The D cells at `cell_bases`, with edges (b, a)/D and (-d, -c)/D."""
-    D = slopes.count
-    e1: Vec = (Fraction(slopes.b, D), Fraction(slopes.a, D))
-    e2: Vec = (Fraction(-slopes.d, D), Fraction(-slopes.c, D))
-    bases = cell_bases(*slopes.as_tuple())
-    return [Parallelogram(j, (Fraction(x, 2 * D), Fraction(y, 2 * D)), e1, e2) for j, x, y in bases]
+    """The D cells at `cell_bases`, in index order."""
+    return [Parallelogram(j, slopes, x, y) for j, x, y in cell_bases(*slopes.as_tuple())]
 
 
 # --- clipping to the unit square -----------------------------------------------
@@ -128,17 +121,19 @@ def _clip(poly, axis: int, lo: int, hi: int):
 def _int_fragments(cell: Parallelogram) -> tuple[int, list[list[tuple[int, int]]]]:
     """A scale S and the cell's integer translates, times S, clipped to [0, S]^2.
 
-    S is the q of `_int_corners` times the lcm m of the nonzero integer edge
-    components over q (4*D*lcm(|a|, |b|, |c|, |d|) for partition cells), so
-    every crossing of a cell edge line with x or y in S*Z is an integer. Each
-    x-strip is clipped once and then cut by every y-shift that reaches it;
-    the fragments come out in (dx, dy) order with positive area.
+    S is n = 2D of `_int_corners` times m = 2 * lcm(nonzero |a|, |b|, |c|, |d|),
+    the lcm of the nonzero integer edge components over n, so S =
+    4*D*lcm(...) and every crossing of a cell edge line with x or y in S*Z is
+    an integer. Each x-strip is clipped once and then cut by every y-shift
+    that reaches it; the fragments come out in (dx, dy) order with positive
+    area.
     """
-    q, corners = _int_corners(cell)
-    bx, by = corners[0]
-    m = math.lcm(*(v for x, y in corners[1:3] for v in (x - bx, y - by) if v))
-    s = q * m
-    poly = _ccw([(x * m, y * m) for x, y in corners])
+    n, corners = _int_corners(cell)
+    m = 2 * math.lcm(*(v for v in cell.slopes.as_tuple() if v))
+    s = n * m
+    # base, +e1, +e1+e2, +e2 runs counterclockwise iff e1 x e2 = ad - bc > 0
+    c0, c1, c2, c3 = [(x * m, y * m) for x, y in corners]
+    poly = [c0, c1, c3, c2] if cell.slopes.det > 0 else [c0, c2, c3, c1]
     xs = [x for x, _ in poly]
     frags = []
     for dx in range(-max(xs) // s, -((min(xs) - s) // s) + 1):
@@ -215,7 +210,8 @@ class PartitionLocator:
 
     def locate(self, x, y) -> int:
         """Class index of the cell whose interior contains (x mod 1, y mod 1)."""
-        x, y, q = common_denominator(Fraction(x), Fraction(y))
+        fx, fy = Fraction(x), Fraction(y)
+        x, y, q = common_denominator(fx, fy)
         px, py = x % q, y % q
         a, b, c, d = self.slopes.as_tuple()
         n = 2 * self.slopes.count
@@ -227,5 +223,5 @@ class PartitionLocator:
         k, rk = divmod(sign * (d * vy - c * vx), n * q)
         l, rl = divmod(sign * (b * vy - a * vx), n * q)
         if not (px and py and rk and rl):
-            raise PartitionBoundary(f"({Fraction(px, q)}, {Fraction(py, q)}) lies on a cell boundary")
+            raise PartitionBoundary(f"({fx % 1}, {fy % 1}) lies on a cell boundary")
         return self._index[(x0 + 2 * (k * b - l * d)) % n, (y0 + 2 * (k * a - l * c)) % n]

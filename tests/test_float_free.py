@@ -6,6 +6,9 @@ Each module of src/pixelwedge is parsed with `ast`, and every float literal,
 float format spec is reported with the function that holds it. Output text,
 the chi-square statistic and `digitize_polyline`'s exact Fraction division
 are the only places allowed one.
+
+The partition and its rendering compute on integers too: in `partition.py`
+and `render.py` only named functions may name `Fraction` at all.
 """
 import ast
 import pathlib
@@ -21,6 +24,13 @@ ALLOWED = {
     "verify.chi2_q999",
     "verify.sample_class_frequencies",  # the expected count and the statistic
     "digitize.digitize_polyline",  # Fraction / Fraction, exact
+}
+# where partition.py and render.py may name Fraction; render.py nowhere
+FRACTION_ALLOWED = {
+    "partition (import)",
+    "partition.Parallelogram.area",  # the exact area, for exact_class_areas
+    "partition.cell_fragments",  # the public fragments as Fraction polygons
+    "partition.PartitionLocator.locate",  # reads its input, writes the refusal text
 }
 FLOAT_MATH = {"sqrt", "log", "exp", "lgamma"}
 FLOAT_SPEC = re.compile(r"[eEfFgG%]$")
@@ -46,15 +56,26 @@ def _kind(node) -> str | None:
     return None
 
 
-def float_sites(source: str, module: str) -> list[tuple[str, int, str]]:
+def _fraction_kind(node) -> str | None:
+    """How a node names Fraction, or None."""
+    if isinstance(node, ast.Name) and node.id == "Fraction":
+        return "Fraction"
+    if isinstance(node, ast.Attribute) and node.attr == "Fraction":
+        return ".Fraction"
+    if isinstance(node, ast.ImportFrom) and any(alias.name == "Fraction" for alias in node.names):
+        return "import"
+    return None
+
+
+def scan_sites(source: str, module: str, kind_of=_kind) -> list[tuple[str, int, str]]:
     """(qualified name of the enclosing function or class, line, kind) of
-    each float site in one module's source."""
+    each site `kind_of` names in one module's source: float sites by default."""
     sites = []
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = f"{scope}.{node.name}"
-        kind = _kind(node)
+        kind = kind_of(node)
         if kind:
             sites.append((scope, node.lineno, kind))
         for child in ast.iter_child_nodes(node):
@@ -70,7 +91,7 @@ def owner(scope: str) -> str | None:
 
 
 def library_sites():
-    return [site for path in sorted(SRC.glob("*.py")) for site in float_sites(path.read_text(), path.stem)]
+    return [site for path in sorted(SRC.glob("*.py")) for site in scan_sites(path.read_text(), path.stem)]
 
 
 def test_no_float_outside_the_allowlist():
@@ -94,7 +115,7 @@ class K:
     def g(self):
         return 1e3
 '''
-    kinds = [(scope, kind) for scope, _, kind in float_sites(source, "m")]
+    kinds = [(scope, kind) for scope, _, kind in scan_sites(source, "m")]
     assert kinds == [
         ("m", "from math import lgamma"),
         ("m.f", "true division"),
@@ -108,4 +129,38 @@ class K:
         ("m.f", "format spec 'e'"),
         ("m.f", "format spec 'g'"),
         ("m.K.g", "float literal 1000.0"),
+    ]
+
+
+def fraction_sites():
+    """(entry, line) of each name of Fraction in partition.py and render.py:
+    the enclosing function, or "<module> (import)" for an import."""
+    return [
+        (f"{scope} (import)" if kind == "import" else scope, line)
+        for module in ("partition", "render")
+        for scope, line, kind in scan_sites((SRC / f"{module}.py").read_text(), module, _fraction_kind)
+    ]
+
+
+def test_fraction_only_in_named_functions_of_partition_and_render():
+    assert [site for site in fraction_sites() if site[0] not in FRACTION_ALLOWED] == []
+
+
+def test_every_fraction_entry_still_names_it():
+    # like ALLOWED, the Fraction entries only shrink
+    assert {entry for entry, _ in fraction_sites()} == FRACTION_ALLOWED
+
+
+def test_the_scan_sees_every_name_of_fraction():
+    source = '''
+import fractions
+from fractions import Fraction
+def f(x) -> Fraction:
+    return fractions.Fraction(x) + Fraction(1, 2)
+'''
+    assert [(scope, kind) for scope, _, kind in scan_sites(source, "m", _fraction_kind)] == [
+        ("m", "import"),
+        ("m.f", ".Fraction"),
+        ("m.f", "Fraction"),
+        ("m.f", "Fraction"),  # the return annotation, visited after the body
     ]

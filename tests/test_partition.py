@@ -28,6 +28,14 @@ P_SLOPES = Slopes(2, 1, -3, 1)
 Q_SLOPES = Slopes(3, -1, -1, 2)
 
 
+def _fraction_form(cell):
+    """The cell's base (x, y)/(2D) and edges (b, a)/D, (-d, -c)/D as
+    Fractions, built here from its integers."""
+    a, b, c, d = cell.slopes.as_tuple()
+    D = cell.slopes.count
+    return (F(cell.x, 2 * D), F(cell.y, 2 * D)), (F(b, D), F(a, D)), (F(-d, D), F(-c, D))
+
+
 def test_first_cell_corners_match_known_values():
     cell = partition_unit_square(P_SLOPES)[0]
     assert cell.to_json_dict()["corners"] == [
@@ -39,7 +47,7 @@ def test_first_cell_corners_match_known_values():
 
 
 def test_cell_bases_one_per_class():
-    bases = {cell.index: cell.base for cell in partition_unit_square(P_SLOPES)}
+    bases = {cell.index: _fraction_form(cell)[0] for cell in partition_unit_square(P_SLOPES)}
     assert bases == {
         0: (F(1, 2), F(1, 2)),
         1: (F(3, 10), F(1, 10)),
@@ -59,9 +67,10 @@ def test_cell_areas():
 @given(slopes_st())
 def test_edges_have_unit_cell_cross_product(slopes):
     for cell in partition_unit_square(slopes):
-        e1, e2 = cell.edge1, cell.edge2
-        assert abs(e1[0] * e2[1] - e1[1] * e2[0]) == F(1, slopes.count)
-        assert all(0 <= v < 1 for v in cell.base)
+        assert cell.slopes == slopes
+        base, e1, e2 = _fraction_form(cell)
+        assert abs(e1[0] * e2[1] - e1[1] * e2[0]) == F(1, slopes.count) == cell.area
+        assert all(0 <= v < 1 for v in base)
 
 
 @given(slopes_st())
@@ -198,7 +207,7 @@ def _ref_clip_to_unit_square(poly):
 def _ref_polygon(cell):
     """The cell's corners from its Fraction base and edges, as a
     counterclockwise cycle starting at the base."""
-    (bx, by), (ux, uy), (wx, wy) = cell.base, cell.edge1, cell.edge2
+    (bx, by), (ux, uy), (wx, wy) = _fraction_form(cell)
     c0, c1, c2, c3 = (bx, by), (bx + ux, by + uy), (bx + wx, by + wy), (bx + ux + wx, by + uy + wy)
     return [c0, c1, c3, c2] if polygon_area([c0, c1, c3, c2]) > 0 else [c0, c2, c3, c1]
 
@@ -228,17 +237,14 @@ def _all_slopes(max_entry, max_d=None):
 
 def test_partition_is_the_shared_integer_bases():
     # every pair with entries <= 5: cell j is based at cell_bases' j-th
-    # (x, y) over 2D, inside [0, 1)^2, with edges (b, a)/D and (-d, -c)/D
+    # (x, y) over 2D, inside [0, 1)^2
     for slopes in _all_slopes(5):
         a, b, c, d = slopes.as_tuple()
         D = slopes.count
         bases = list(cell_bases(a, b, c, d))
         assert [j for j, _, _ in bases] == list(range(D))
         assert all(0 <= x < 2 * D and 0 <= y < 2 * D for _, x, y in bases)
-        e1, e2 = (F(b, D), F(a, D)), (F(-d, D), F(-c, D))
-        assert partition_unit_square(slopes) == [
-            Parallelogram(j, (F(x, 2 * D), F(y, 2 * D)), e1, e2) for j, x, y in bases
-        ]
+        assert partition_unit_square(slopes) == [Parallelogram(j, slopes, x, y) for j, x, y in bases]
 
 
 SWEEP_8 = _all_slopes(3, max_d=8)  # the D <= 8 sweep, entries <= 3
@@ -246,41 +252,30 @@ SWEEP_8 = _all_slopes(3, max_d=8)  # the D <= 8 sweep, entries <= 3
 
 def test_fragments_equal_fraction_clipper_vertex_for_vertex():
     sample = _all_slopes(2) + random.Random(60).sample(_all_slopes(5), 60)
+    assert any(0 in slopes.as_tuple() for slopes in sample)  # axis-parallel edges
     for slopes in sample:
         for cell in partition_unit_square(slopes):
             assert cell_fragments(cell) == _ref_cell_fragments(cell), (slopes, cell.index)
 
 
-# cells that are not partition cells: other denominators, axis-parallel
-# and degenerate edges
-OFF_PARTITION = [
-    Parallelogram(0, (F(1, 3), F(2, 7)), (F(2, 5), F(1, 3)), (F(-1, 6), F(3, 4))),
-    Parallelogram(1, (F(-5, 4), F(9, 8)), (F(3, 2), F(0)), (F(0), F(-7, 3))),
-    Parallelogram(2, (F(0), F(0)), (F(1), F(0)), (F(0), F(1))),
-    Parallelogram(3, (F(1, 2), F(1, 3)), (F(1, 4), F(1, 4)), (F(-1, 2), F(-1, 2))),
-]
-
-
-def test_fragments_equal_fraction_clipper_off_partition():
-    for cell in OFF_PARTITION:
-        assert cell_fragments(cell) == _ref_cell_fragments(cell), cell
-
-
 def test_corners_equal_fraction_sums():
-    # to_json_dict() writes from the integer form over the lcm of the denominators
+    # to_json_dict() writes from the integer form over 2D; here a det < 0 pair
+    # and an axis-parallel edge with zero components too
     def text(p):
         return [f"{v.numerator}/{v.denominator}" for v in p]
 
-    for cell in OFF_PARTITION + partition_unit_square(Q_SLOPES) + partition_unit_square(Slopes(6, 5, 9, 7)):
-        (bx, by), (ux, uy), (wx, wy) = cell.base, cell.edge1, cell.edge2
-        corners = [(bx, by), (bx + ux, by + uy), (bx + wx, by + wy), (bx + ux + wx, by + uy + wy)]
-        assert cell.to_json_dict() == {
-            "index": cell.index,
-            "base": text(cell.base),
-            "edge1": text(cell.edge1),
-            "edge2": text(cell.edge2),
-            "corners": [text(p) for p in corners],
-        }, cell
+    for slopes in (Q_SLOPES, Slopes(6, 5, 9, 7), Slopes(1, 0, 7, 1)):
+        for cell in partition_unit_square(slopes):
+            base, e1, e2 = _fraction_form(cell)
+            (bx, by), (ux, uy), (wx, wy) = base, e1, e2
+            corners = [(bx, by), (bx + ux, by + uy), (bx + wx, by + wy), (bx + ux + wx, by + uy + wy)]
+            assert cell.to_json_dict() == {
+                "index": cell.index,
+                "base": text(base),
+                "edge1": text(e1),
+                "edge2": text(e2),
+                "corners": [text(p) for p in corners],
+            }, cell
 
 
 def test_fragment_areas_over_sweep():
@@ -357,7 +352,7 @@ def _differential_points(slopes, rng):
         pts.append((rng.randint(-2, 2), dyadic[2]))
         pts.append((dyadic[2], rng.randint(-2, 2)))
     for cell in partition_unit_square(slopes):
-        (bx, by), e1, e2 = cell.base, cell.edge1, cell.edge2
+        (bx, by), e1, e2 = _fraction_form(cell)
         pts.append((bx, by))
         for t in (F(1, 3), F(1, 2), F(5, 7)):
             pts.append((bx + t * e1[0], by + t * e1[1]))

@@ -126,18 +126,21 @@ def test_partition_json_exact():
 
 
 def test_partition_output_builds_no_fraction(monkeypatch):
-    # both formats are written from each cell's integer form; Fraction.__new__
-    # sees every constructor call, and before Python 3.12 every arithmetic result
+    # the cells, their json and both formats all come from each cell's integer
+    # form; Fraction.__new__ sees every constructor call, and before Python
+    # 3.12 every arithmetic result
     from fractions import Fraction
 
-    cells = partition_unit_square(Slopes(7, 2, -5, 3)) + partition_unit_square(Slopes(6, 5, 9, 7))
     built = []
     new = Fraction.__new__
     monkeypatch.setattr(Fraction, "__new__", staticmethod(lambda cls, *a, **k: built.append(a) or new(cls, *a, **k)))
     assert Fraction(1, 2) + 1 == Fraction(3, 2) and built
     built.clear()
-    for fmt in ("json", "svg"):
-        assert render_partition(cells, RenderOptions(format=fmt))
+    for slopes in (Slopes(7, 2, -5, 3), Slopes(6, 5, 9, 7), Slopes(1, 2, 3, 1)):
+        cells = partition_unit_square(slopes)
+        assert [cell.to_json_dict() for cell in cells]
+        for fmt in ("json", "svg"):
+            assert render_partition(cells, RenderOptions(format=fmt))
     assert built == []
 
 
