@@ -11,8 +11,9 @@ would be ambiguous at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from operator import attrgetter
 
 from .errors import (
     EmptyRegion,
@@ -43,32 +44,66 @@ def round_nearest(r: Fraction | int) -> int:
     return math.floor(r + HALF)
 
 
-@dataclass(frozen=True)
-class Slopes:
+class _Frozen:
+    """Base of the frozen slotted value types. Eq, hash and repr read the
+    declared fields, `__match_args__`, and no other slot; assignment and
+    deletion raise FrozenInstanceError, so each `__init__` sets its slots
+    with `object.__setattr__`; pickle and copy rebuild from the fields."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = property(attrgetter(*cls.__match_args__))  # the fields' values, a tuple
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields == other._fields
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields
+
+
+class Slopes(_Frozen):
     """Two directed slopes a/b and c/d, each pair coprime, lines not parallel.
 
     The sign of each pair selects one of the two half-planes its line bounds;
     negating (a, b) or (c, d) picks the opposite one, so all four corner
     regions of the line crossing are reachable. Three invariants are computed
-    once at construction and kept outside the dataclass fields, so eq, hash
-    and repr ignore them: `det` = ad - bc, `count` = D = |ad - bc| (the
-    number of distinct digitized shapes) and `bezout`, a pair (x, y) with
+    once at construction and kept outside the fields, so eq, hash and repr
+    ignore them: `det` = ad - bc, `count` = D = |ad - bc| (the number of
+    distinct digitized shapes) and `bezout`, a pair (x, y) with
     a*x - b*y == 1.
     """
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __match_args__ = ("a", "b", "c", "d")
+    __slots__ = __match_args__ + ("det", "count", "bezout")
 
-    def __post_init__(self):
-        for p, q, name in ((self.a, self.b, "first"), (self.c, self.d, "second")):
+    def __init__(self, a: int, b: int, c: int, d: int):
+        for p, q, name in ((a, b, "first"), (c, d, "second")):
             if math.gcd(p, q) != 1:
                 raise ValueError(f"{name} slope pair ({p}, {q}) is not coprime")
-        det = self.a * self.d - self.b * self.c
+        det = a * d - b * c
         if det == 0:
-            raise ParallelSlopes(f"slopes {self.a}/{self.b} and {self.c}/{self.d} are parallel")
-        _, x, y = extended_gcd(self.a, self.b)
+            raise ParallelSlopes(f"slopes {a}/{b} and {c}/{d} are parallel")
+        _, x, y = extended_gcd(a, b)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
         object.__setattr__(self, "det", det)
         object.__setattr__(self, "count", abs(det))
         object.__setattr__(self, "bezout", (x, y))
@@ -87,27 +122,28 @@ class Slopes:
         return u1, u2
 
 
-@dataclass(frozen=True)
-class AngleSpec:
+class AngleSpec(_Frozen):
     """An angular region: corner point plus the two directed slope pairs.
 
     The integer kernels read the corner as `xyq`, the triple (x, y, q) with
     corner == (x/q, y/q) over the least common denominator q > 0. Like the
-    validated `slopes` it is kept outside the dataclass fields, so eq, hash
-    and repr ignore it.
+    validated `slopes` it is kept outside the fields, so eq, hash and repr
+    ignore it.
     """
 
-    a: int
-    b: int
-    c: int
-    d: int
-    corner: Point
+    __match_args__ = ("a", "b", "c", "d", "corner")
+    __slots__ = __match_args__ + ("_slopes", "xyq")
 
-    def __post_init__(self):
+    def __init__(self, a: int, b: int, c: int, d: int, corner: Point):
         # validates coprimality and det; kept, so `slopes` is a plain read
-        object.__setattr__(self, "_slopes", Slopes(self.a, self.b, self.c, self.d))
-        x, y = Fraction(self.corner[0]), Fraction(self.corner[1])
+        slopes = Slopes(a, b, c, d)
+        x, y = Fraction(corner[0]), Fraction(corner[1])
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
         object.__setattr__(self, "corner", (x, y))
+        object.__setattr__(self, "_slopes", slopes)
         object.__setattr__(self, "xyq", common_denominator(x, y))
 
     @property

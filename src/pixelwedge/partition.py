@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .digitize import Point, Slopes
+from .digitize import Point, Slopes, _Frozen
 from .errors import PartitionBoundary
 from .exact import common_denominator, format_rational
 
@@ -35,16 +34,18 @@ def _int_corners(cell: Parallelogram) -> tuple[int, tuple[tuple[int, int], ...]]
     return 2 * cell.slopes.count, ((x, y), (x + ux, y + uy), (x + wx, y + wy), (x + ux + wx, y + uy + wy))
 
 
-@dataclass(frozen=True)
-class Parallelogram:
+class Parallelogram(_Frozen):
     """One partition cell of `slopes`: its base corner (x, y)/(2D), the
     mod-1 representative with 0 <= x, y < 2D, plus the shared edges
     (b, a)/D and (-d, -c)/D."""
 
-    index: int
-    slopes: Slopes
-    x: int
-    y: int
+    __slots__ = __match_args__ = ("index", "slopes", "x", "y")
+
+    def __init__(self, index: int, slopes: Slopes, x: int, y: int):
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "slopes", slopes)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
 
     @property
     def area(self) -> Fraction:

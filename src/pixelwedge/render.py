@@ -5,9 +5,7 @@ ASCII rows run top-down (decreasing n), matching visual orientation: pixel
 """
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-
+from .digitize import _Frozen
 from .errors import EmptySet, UnsupportedFormat
 from .partition import Parallelogram, _int_fragments, _shoelace
 
@@ -19,23 +17,27 @@ _PALETTE = (
 )
 
 
-@dataclass(frozen=True)
-class RenderOptions:
-    format: str = "ascii"
-    scale: int = 16  # svg pixels per cell / per unit
-    glyphs: str = "#."  # on/off characters for ascii
+class RenderOptions(_Frozen):
+    __slots__ = __match_args__ = ("format", "scale", "glyphs")
 
-    def __post_init__(self):
-        if self.scale < 1:
+    def __init__(self, format: str = "ascii", scale: int = 16, glyphs: str = "#."):
+        # scale: svg pixels per cell / per unit; glyphs: on/off characters for ascii
+        object.__setattr__(self, "format", format)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "glyphs", glyphs)
+        if scale < 1:
             raise ValueError("scale must be >= 1")
-        if len(self.glyphs) < 2:
+        if len(glyphs) < 2:
             raise ValueError("need an on and an off glyph")
-        if self.format not in FORMATS:
-            raise UnsupportedFormat(f"unknown format {self.format!r}")
+        if format not in FORMATS:
+            raise UnsupportedFormat(f"unknown format {format!r}")
 
 
 def json_line(obj) -> bytes:
-    """The one JSON encoding of every answer: sorted keys, one line."""
+    """The one JSON encoding of every answer: sorted keys, one line. `json`
+    loads here, on first use, so answers in other formats never import it."""
+    import json
+
     return (json.dumps(obj, sort_keys=True) + "\n").encode()
 
 

@@ -14,20 +14,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
-from .digitize import AngleSpec, PixelIndex, Slopes, threshold_ceilings, window_columns
+from .digitize import AngleSpec, PixelIndex, Slopes, _Frozen, threshold_ceilings, window_columns
 from .errors import InvalidAxis
 
 PixelSet = frozenset  # of (m, n) pixel indices
 
 
-@dataclass(frozen=True)
-class RegionParams:
+class RegionParams(_Frozen):
     """Exact thresholds of one digitized angle and their integer ceilings."""
 
-    alpha: Fraction
-    beta: Fraction
-    alpha_ceil: int
-    beta_ceil: int
+    __slots__ = __match_args__ = ("alpha", "beta", "alpha_ceil", "beta_ceil")
+
+    def __init__(self, alpha, beta, alpha_ceil: int, beta_ceil: int):
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "alpha_ceil", alpha_ceil)
+        object.__setattr__(self, "beta_ceil", beta_ceil)
 
 
 def region_params(spec: AngleSpec) -> RegionParams:

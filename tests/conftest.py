@@ -30,3 +30,8 @@ def corner_st(max_den=50):
         min_value=Fraction(-3), max_value=Fraction(3), max_denominator=max_den
     )
     return st.tuples(q, q)
+
+
+def rebuilt(value, **changes):
+    """A frozen value type built again from its declared fields, some changed."""
+    return type(value)(**{name: getattr(value, name) for name in value.__match_args__} | changes)

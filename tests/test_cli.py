@@ -650,3 +650,15 @@ def test_sweep_stdout_bytes_are_pinned(capsysbinary):
             assert main(list(argv)) == 0, argv
             out = capsysbinary.readouterr().out
             assert hashlib.sha256(out).hexdigest() == SWEEP_STDOUT_SHA256[" ".join(argv)], argv
+
+
+def test_json_loads_only_for_json_answers():
+    # a bare interpreter (-S: no site, so no .pth file imports json first)
+    # runs main in process and reports whether json was imported
+    code = "import sys; from pixelwedge import cli; code = cli.main(sys.argv[1:]); print('json' in sys.modules, file=sys.stderr); sys.exit(code)"
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    argv = ["classify", "--slope1", "2/1", "--slope2", "-3/1", "--corner", "0.1,0.71"]
+    for extra, out, loaded in (([], b"class 2 of 5\n", b"False\n"), (["--format", "json"], b'{"alpha": ', b"True\n")):
+        r = subprocess.run([sys.executable, "-S", "-c", code, *argv, *extra], capture_output=True, timeout=120,
+                           env={**os.environ, "PYTHONPATH": src})
+        assert r.returncode == 0 and r.stdout.startswith(out) and r.stderr == loaded, r

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import pickle
 import random
@@ -24,7 +23,7 @@ from pixelwedge.digitize import path_vertex_bound, region_pixels, window_columns
 from pixelwedge.exact import HALF, extended_gcd
 from pixelwedge.shapes import class_of_params
 
-from conftest import corner_st, slopes_st
+from conftest import corner_st, rebuilt, slopes_st
 from oracles import column_interval, pixel_in_angle
 
 F = Fraction
@@ -358,7 +357,7 @@ class TestSlopesBezout:
         assert (repr(s), hash(s)) == before == (repr(t), hash(t))
         assert repr(s) == "Slopes(a=2, b=1, c=-3, d=1)"
         assert s == t and {s: 1}[t] == 1
-        assert [f.name for f in dataclasses.fields(Slopes)] == ["a", "b", "c", "d"]
+        assert Slopes.__match_args__ == ("a", "b", "c", "d")
         assert pickle.loads(pickle.dumps(s)) == s
         # det and count are cached beside bezout, outside the fields
         assert (s.det, s.count) == (2 * 1 - 1 * -3, 5)
@@ -370,10 +369,10 @@ class TestSlopesBezout:
             back = pickle.loads(pickle.dumps(u))
             assert (back.det, back.count, back.bezout) == (u.det, u.count, u.bezout)
             assert (repr(back), hash(back)) == (repr(u), hash(u))
-        moved = dataclasses.replace(neg, c=-3)
+        moved = rebuilt(neg, c=-3)
         assert (moved.det, moved.count) == (7, 7)
         assert moved.bezout == neg.bezout and moved == Slopes(1, 2, -3, 1)
-        same = dataclasses.replace(s)
+        same = rebuilt(s)
         assert (same.det, same.count, same.bezout) == (s.det, s.count, s.bezout) and same == s
 
     def test_class_of_params_runs_extended_gcd_once_per_slopes(self, monkeypatch):

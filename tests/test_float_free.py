@@ -7,8 +7,9 @@ float format spec is reported with the function that holds it. Output text,
 the chi-square statistic and `digitize_polyline`'s exact Fraction division
 are the only places allowed one.
 
-The partition and its rendering compute on integers too: in `partition.py`
-and `render.py` only named functions may name `Fraction` at all.
+The kernels compute on integers too: in every module only named edges may
+name `Fraction` at all, where rational text is read or written and where
+exact values are handed to or taken from library users.
 """
 import ast
 import pathlib
@@ -25,12 +26,34 @@ ALLOWED = {
     "verify.sample_class_frequencies",  # the expected count and the statistic
     "digitize.digitize_polyline",  # Fraction / Fraction, exact
 }
-# where partition.py and render.py may name Fraction; render.py nowhere
+# where each module may name Fraction: its edges, never a kernel; render.py nowhere
 FRACTION_ALLOWED = {
+    "cli (import)",
+    "cli.parse_corner",  # the corner text
+    "digitize (import)",
+    "digitize.Point",  # the public corner type
+    "digitize.AngleSpec.__init__",  # the corner as given, kept beside its integer form
+    "digitize.is_half_integer",
+    "digitize.round_nearest",
+    "digitize._crossing_params",  # the Fraction polyline sweep, until its integer stepper
+    "digitize.digitize_polyline",
+    "digitize.digitize_polyline.rounded_at",
+    "digitize.digitize_angle_path.endpoint",
+    "exact (import)",
+    "exact.HALF",
+    "exact.common_denominator",  # Fractions to the integer triple
+    "exact.parse_ratio",  # rational text
+    "exact.parse_rational",
+    "exact.format_rational",
     "partition (import)",
     "partition.Parallelogram.area",  # the exact area, for exact_class_areas
     "partition.cell_fragments",  # the public fragments as Fraction polygons
     "partition.PartitionLocator.locate",  # reads its input, writes the refusal text
+    "shapes (import)",
+    "shapes.region_params",  # the exact thresholds
+    "shapes.reflection_symmetric",
+    "verify (import)",
+    "verify.exact_class_areas",
 }
 FLOAT_MATH = {"sqrt", "log", "exp", "lgamma"}
 FLOAT_SPEC = re.compile(r"[eEfFgG%]$")
@@ -75,6 +98,8 @@ def scan_sites(source: str, module: str, kind_of=_kind) -> list[tuple[str, int, 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = f"{scope}.{node.name}"
+        elif scope == module and isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+            scope = f"{scope}.{node.targets[0].id}"  # a module constant or alias
         kind = kind_of(node)
         if kind:
             sites.append((scope, node.lineno, kind))
@@ -133,16 +158,16 @@ class K:
 
 
 def fraction_sites():
-    """(entry, line) of each name of Fraction in partition.py and render.py:
-    the enclosing function, or "<module> (import)" for an import."""
+    """(entry, line) of each name of Fraction in the library: the enclosing
+    function, class or module constant, or "<module> (import)" for an import."""
     return [
         (f"{scope} (import)" if kind == "import" else scope, line)
-        for module in ("partition", "render")
-        for scope, line, kind in scan_sites((SRC / f"{module}.py").read_text(), module, _fraction_kind)
+        for path in sorted(SRC.glob("*.py"))
+        for scope, line, kind in scan_sites(path.read_text(), path.stem, _fraction_kind)
     ]
 
 
-def test_fraction_only_in_named_functions_of_partition_and_render():
+def test_fraction_only_in_named_edges():
     assert [site for site in fraction_sites() if site[0] not in FRACTION_ALLOWED] == []
 
 
@@ -155,11 +180,13 @@ def test_the_scan_sees_every_name_of_fraction():
     source = '''
 import fractions
 from fractions import Fraction
+Pair = tuple[Fraction, int]
 def f(x) -> Fraction:
     return fractions.Fraction(x) + Fraction(1, 2)
 '''
     assert [(scope, kind) for scope, _, kind in scan_sites(source, "m", _fraction_kind)] == [
         ("m", "import"),
+        ("m.Pair", "Fraction"),
         ("m.f", ".Fraction"),
         ("m.f", "Fraction"),
         ("m.f", "Fraction"),  # the return annotation, visited after the body

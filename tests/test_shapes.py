@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import pickle
 import random
@@ -27,7 +26,7 @@ from pixelwedge.digitize import region_pixels, window_columns
 from pixelwedge.shapes import _bitmaps, anchored_regions, class_fingerprints, class_signatures, separating_window
 from pixelwedge.verify import coprime_pairs, hobby_region_check
 
-from conftest import coprime_pair, corner_st, slopes_st
+from conftest import coprime_pair, corner_st, rebuilt, slopes_st
 from oracles import direct_bitmaps, fraction_thresholds, min_row_table, shift_params
 
 F = Fraction
@@ -179,10 +178,10 @@ class TestClassIndex:
                     assert spec == twin and hash(spec) == hash(twin) and repr(spec) == repr(twin)
                     assert "xyq" not in repr(spec)
                     assert pickle.loads(pickle.dumps(spec)).xyq == spec.xyq
-                    assert dataclasses.replace(spec).xyq == spec.xyq
-                    mx, my, mq = dataclasses.replace(spec, corner=(y0, x0)).xyq
+                    assert rebuilt(spec).xyq == spec.xyq
+                    mx, my, mq = rebuilt(spec, corner=(y0, x0)).xyq
                     assert (F(mx, mq), F(my, mq)) == (y0, x0)
-        assert [f.name for f in dataclasses.fields(AngleSpec)] == ["a", "b", "c", "d", "corner"]
+        assert AngleSpec.__match_args__ == ("a", "b", "c", "d", "corner")
 
     def test_spec_keeps_its_validated_slopes(self):
         spec = spec_p(F(1, 3), F(2, 3))

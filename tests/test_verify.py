@@ -566,10 +566,10 @@ class TestSweep:
     def test_sweep_builds_no_slopes(self, monkeypatch):
         # the sweep's pairs are coprime by construction and run on plain
         # integers; a Slopes built per pair would raise here
-        def refuse(slopes):
-            raise AssertionError(f"theorem_sweep built {slopes!r}")
+        def refuse(slopes, *pair):
+            raise AssertionError(f"theorem_sweep built Slopes{pair}")
 
-        monkeypatch.setattr(Slopes, "__post_init__", refuse)
+        monkeypatch.setattr(Slopes, "__init__", refuse)
         report = theorem_sweep(8, 3)
         assert report.ok and len(report.entries) == 848
 
