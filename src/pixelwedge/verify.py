@@ -7,8 +7,10 @@ at a time: one getrandbits call fills a chunk of draws, and a few
 big-integer operations over 128-bit lanes, masked straight out of the draw
 integer, give every draw's class parameters as a 64-bit key. A chunk whose
 keys are wider than 64 bits, or which holds a pixel-centre draw, goes draw
-by draw through `threshold_ceilings` instead. The random stream, and so
-every count, is the same as drawing and classifying one corner at a time.
+by draw through `threshold_ceilings` instead. Keys of one byte, at small
+D, are mapped to classes and counted by class; wider ones are counted by
+key. The random stream, and so every count, is the same as drawing and
+classifying one corner at a time.
 """
 from __future__ import annotations
 
@@ -70,6 +72,11 @@ _Q = 1 << _Q_BITS
 _HALF_Q = 1 << (_Q_BITS - 1)
 _CENTRE = (_HALF_Q | _HALF_Q << _Q_BITS).to_bytes(16, "little")  # the lane of (1/2, 1/2)
 _WIDE_KEY_WORK = 32  # what `sample_work` counts for a draw-by-draw sample (see cli.VERIFY_WORK_LIMIT)
+# the largest D whose one-byte keys are counted by class: per block of 2^15 keys,
+# Counter.update takes ~2.1 ms, while collecting the key bytes takes ~60 us, mapping
+# them to classes ~25 us and bytes.count ~30 us per class (2 CPUs, Python 3.11.7),
+# so they break even near D = 67; whole blocks broke even between D = 60 and 70
+_BYTE_KEY_CLASSES = 64
 
 
 def _lanes_fit(a: int, b: int, c: int, d: int) -> bool:
@@ -154,9 +161,15 @@ def _count_block(slopes_tuple, seed, block, take):
     A chunk goes draw by draw, through threshold_ceilings, when its keys are
     wider than 64 bits or it holds the bytes of the pixel centre (1/2, 1/2)
     anywhere. A centre draw is then dropped, counted as resampled and
-    replaced from the next chunk, as a per-sample redraw would. Each draw's
-    key is counted, however wide, and each distinct key is classified once
-    by class_of_params.
+    replaced from the next chunk, as a per-sample redraw would.
+
+    Where every key fits one byte and D <= _BYTE_KEY_CLASSES, each chunk
+    appends the low byte of each lane, its key, to one bytearray; at the
+    block's end one translate through a 256-byte key -> class table, built
+    by class_of_params over the (sa+1)(sc+1) keys a draw can reach, turns
+    them into classes, and one bytes.count per class counts them. Otherwise
+    each draw's key is counted, however wide, and each distinct key is
+    classified once by class_of_params.
     """
     a, b, c, d = slopes_tuple
     slopes = Slopes(a, b, c, d)
@@ -164,12 +177,14 @@ def _count_block(slopes_tuple, seed, block, take):
     ha, hc = sa // 2, sc // 2  # key offsets: alpha + ha and beta + hc lie in [0, sa] and [0, sc]
     ka, kc = sa.bit_length(), sc.bit_length()  # bits of alpha and beta in a key
     lanes_fit = _lanes_fit(a, b, c, d)
+    byte_keys = ka + kc <= 8 and slopes.count <= _BYTE_KEY_CLASSES
     # lane value (ha + ceil(v / 2^64)) * 2^64 + r, 0 <= r < 2^64, for v = a*nx - b*ny
     off_a = (ha + 1) * _Q - 1 - (a - b) * _HALF_Q
     off_c = (hc + 1) * _Q - 1 - (c - d) * _HALF_Q
     lanes = {}  # chunk size -> (offsets, beta mask and low-word mask repeated per lane)
     rng = random.Random(f"{seed}/{block}")
     keys = Counter()
+    key_bytes = bytearray()
     resampled = 0
     while take:
         t = min(_CHUNK, take)
@@ -181,7 +196,11 @@ def _count_block(slopes_tuple, seed, block, take):
             resampled += t - len(kept)
             take -= len(kept)
             ceilings = (threshold_ceilings(a, b, c, d, px, py, _Q) for px, py in kept)
-            keys.update(alpha + ha | (beta + hc) << ka for alpha, beta in ceilings)
+            chunk_keys = (alpha + ha | (beta + hc) << ka for alpha, beta in ceilings)
+            if byte_keys:
+                key_bytes += bytes(chunk_keys)
+            else:
+                keys.update(chunk_keys)
             continue
         take -= t
         if t not in lanes:
@@ -192,7 +211,18 @@ def _count_block(slopes_tuple, seed, block, take):
         del draw, raw  # lowers the peak heap of the lane arithmetic below
         alphas = (lane_a + a * px - b * py) >> _Q_BITS
         betas = ((lane_c + c * px - d * py) >> _Q_BITS) & mask_c
-        keys.update(memoryview((alphas | betas << ka).to_bytes(16 * t, "little")).cast("Q")[::2])
+        packed = (alphas | betas << ka).to_bytes(16 * t, "little")
+        if byte_keys:
+            key_bytes += packed[::16]
+        else:
+            keys.update(memoryview(packed).cast("Q")[::2])
+    if byte_keys:
+        table = bytearray(256)  # key -> class; keys no draw reaches stay 0
+        for ia in range(sa + 1):
+            for ib in range(sc + 1):
+                table[ia | ib << ka] = class_of_params(slopes, ia - ha, ib - hc)
+        classes = key_bytes.translate(table)
+        return [classes.count(j) for j in range(slopes.count)], resampled
     counts = [0] * slopes.count
     for key, cnt in keys.items():
         alpha, beta = (key & ((1 << ka) - 1)) - ha, (key >> ka) - hc

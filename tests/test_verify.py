@@ -4,6 +4,7 @@ import math
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -180,6 +181,21 @@ WIDE_PAIRS = [
 ]
 
 
+# pairs on each side of the byte-key selection: keys of at most 8 bits and
+# D <= verify._BYTE_KEY_CLASSES (64) are counted by class, the rest by key
+BYTE_KEY_PAIRS = [
+    (2, 1, -3, 1),  # D = 5: keys of 5 bits
+    (-15, -7, -5, -2),  # D = 5: keys of 8 bits
+    (1, 4, -15, 4),  # D = 64: keys of 8 bits
+]
+COUNTED_KEY_PAIRS = [
+    (1, 4, -14, 9),  # D = 65: keys of 8 bits
+    (7, 8, -8, 7),  # D = 113: keys of 8 bits
+    (-15, -7, -5, -3),  # D = 10: keys of 9 bits
+    (16, 1, -1, 16),  # D = 257: keys of 10 bits
+]
+
+
 def sampled(pair, n, seed):
     hist = sample_class_frequencies(Slopes(*pair), n, seed)
     return hist.counts, hist.resampled, hist.chisq
@@ -188,12 +204,12 @@ def sampled(pair, n, seed):
 class TestPackedKernel:
     def test_all_small_pairs_match_scalar_sampler(self):
         assert len(SMALL_PAIRS) == 960
-        for pair in SMALL_PAIRS:
+        for pair in SMALL_PAIRS + BYTE_KEY_PAIRS + COUNTED_KEY_PAIRS:
             for n in (1, 1000):
                 assert sampled(pair, n, 3) == scalar_sample(pair, n, 3), (pair, n)
 
     def test_block_boundaries_match_scalar_sampler(self):
-        for pair in SMALL_PAIRS[::20]:
+        for pair in SMALL_PAIRS[::20] + BYTE_KEY_PAIRS + COUNTED_KEY_PAIRS:
             for n in (32767, 32769):
                 assert sampled(pair, n, 9) == scalar_sample(pair, n, 9), (pair, n)
 
@@ -201,6 +217,25 @@ class TestPackedKernel:
     def test_wide_lanes_match_scalar_sampler(self, pair):
         for n in (1, 1000, 2049):
             assert sampled(pair, n, 5) == scalar_sample(pair, n, 5), n
+
+    @pytest.mark.parametrize(
+        "pair, by_class", [(p, True) for p in BYTE_KEY_PAIRS] + [(p, False) for p in COUNTED_KEY_PAIRS]
+    )
+    def test_byte_keys_are_counted_by_class(self, monkeypatch, pair, by_class):
+        a, b, c, d = pair
+        width = (abs(a) + abs(b)).bit_length() + (abs(c) + abs(d)).bit_length()
+        assert by_class == (width <= 8 and abs(a * d - b * c) <= verify._BYTE_KEY_CLASSES)
+        updates = []
+
+        class Recorded(Counter):
+            def update(self, keys=None):
+                if keys is not None:  # Counter() itself calls update(None)
+                    updates.append(keys)
+                super().update(keys)
+
+        monkeypatch.setattr("pixelwedge.verify.Counter", Recorded)
+        assert verify._count_block(pair, 1, 0, 1000) == scalar_count_block(pair, 1, 0, 1000)
+        assert bool(updates) != by_class
 
 
 HALF_Q = 1 << 63
@@ -242,7 +277,13 @@ class TestPixelCentreRedraw:
 
     @pytest.mark.parametrize(
         "pair",
-        [(2, 1, -3, 1), (2**70 + 1, 2**70, 2**70 + 3, 2**70 + 2), (2**30 + 1, 2**30, 2**30 + 4, 2**30 + 3)],
+        [
+            (2, 1, -3, 1),
+            (2**70 + 1, 2**70, 2**70 + 3, 2**70 + 2),
+            (2**30 + 1, 2**30, 2**30 + 4, 2**30 + 3),
+            (7, 8, -8, 7),
+            (16, 1, -1, 16),
+        ],
     )
     def test_centre_draws_are_redrawn_like_scalar_sampler(self, monkeypatch, pair):
         n = 2100
