@@ -29,13 +29,13 @@ SWEEP_PAIR_LIMIT = 1_000_000
 # `verify` keeps a count per class, in every block; this admits D <= 10**6 (8 MB a list)
 VERIFY_CLASS_LIMIT = 1_000_000
 # `verify` draws its samples and merges one D-long count list per block of
-# 2**15 of them (`sample_work`); at 10**8 a run takes ~16-19 s at D = 5 (19-22 s
-# when its keys went to a Counter, measured alongside), ~25 s at D = 99857 and
-# ~12 s at D = 999001 on 2 CPUs. A sample whose key is wider than 64 bits goes
-# draw by draw: per sample it took 11x the D = 5 time with a 103-bit key (entries
-# near 10**30) and 24x with a 986-bit key (four 149-digit entries, about the
-# widest the text limit admits), measured while D = 5 keys went to a Counter, so
-# ~13x and ~28x now; `sample_work` counts it as `verify._WIDE_KEY_WORK` = 32 samples
+# 2**15 of them (`sample_work`); near 10**8 (99984000, the most the limit admits
+# at D = 5) a run takes ~12-14 s at D = 5 on 2 CPUs, and took ~25 s at D = 99857
+# and ~12 s at D = 999001 on a slower host. A sample whose key is wider
+# than 64 bits goes draw by draw: per sample it took 14-16x the D = 5 time with a
+# 102-bit key (entries near 10**15) and 29-31x with a 986-bit key (four 149-digit
+# entries, about the widest the text limit admits); `sample_work` counts it as
+# `verify._WIDE_KEY_WORK` = 32 samples
 VERIFY_WORK_LIMIT = 100_000_000
 # `enumerate` builds up to D*(2w+1)**2 bitmap pixels, about half of them at worst, at
 # w = `separating_window`; at 10**7 the json answer takes ~6 s and ~400 MB on 2 CPUs.

@@ -6,11 +6,11 @@ for a given seed regardless of worker count. Corners are classified a chunk
 at a time: one getrandbits call fills a chunk of draws, and a few
 big-integer operations over 128-bit lanes, masked straight out of the draw
 integer, give every draw's class parameters as a 64-bit key. A chunk whose
-keys are wider than 64 bits, or which holds a pixel-centre draw, goes draw
-by draw through `threshold_ceilings` instead. Keys of one byte, at small
-D, are mapped to classes and counted by class; wider ones are counted by
-key. The random stream, and so every count, is the same as drawing and
-classifying one corner at a time.
+keys are wider than 64 bits, or which holds a pixel-centre draw (found by
+one carry test per lane), goes draw by draw through `threshold_ceilings`
+instead. Keys of one byte, at small D, are mapped to classes and counted
+by class; wider ones are counted by key. The random stream, and so every
+count, is the same as drawing and classifying one corner at a time.
 """
 from __future__ import annotations
 
@@ -70,7 +70,6 @@ _CHUNK = 1 << 9  # draws per packed-lane chunk: whole blocks outgrow the cache a
 _Q_BITS = 64
 _Q = 1 << _Q_BITS
 _HALF_Q = 1 << (_Q_BITS - 1)
-_CENTRE = (_HALF_Q | _HALF_Q << _Q_BITS).to_bytes(16, "little")  # the lane of (1/2, 1/2)
 _WIDE_KEY_WORK = 32  # what `sample_work` counts for a draw-by-draw sample (see cli.VERIFY_WORK_LIMIT)
 # the largest D whose one-byte keys are counted by class: per block of 2^15 keys,
 # Counter.update takes ~2.1 ms, while collecting the key bytes takes ~60 us, mapping
@@ -111,8 +110,13 @@ class ClassHistogram:
 
     @property
     def passed(self) -> bool:
-        """Chi-square below the 0.999 quantile; a single class is trivially uniform."""
-        return self.count == 1 or self.chisq < self.threshold
+        """Chi-square below the 0.999 quantile; a single class is trivially uniform.
+
+        Decided on integers: n * chi-square is exactly D * sum(c^2) - n^2, and
+        the quantile is a whole number Q of millionths, so chi-square < Q / 10^6
+        iff 10^6 * (D * sum(c^2) - n^2) < Q * n."""
+        n, q = self.n, round(self.threshold * 10**6)
+        return self.count == 1 or 10**6 * (self.count * sum(c * c for c in self.counts) - n * n) < q * n
 
     def to_json_dict(self) -> dict:
         return {
@@ -156,20 +160,25 @@ def _count_block(slopes_tuple, seed, block, take):
     across lanes: one shift then gives every lane's ceiling of
     (a*nx - b*ny) / 2^64, offset by (|a|+|b|) // 2, in its low ka bits, and
     the next lane's low word in its top 64. The key lies below that word, so
-    only beta needs a mask, and each lane's low word is its key.
+    only beta needs a mask: shifted by 64 - ka instead of 64, it lands in
+    place above alpha, and each lane's low word is its key.
 
     A chunk goes draw by draw, through threshold_ceilings, when its keys are
-    wider than 64 bits or it holds the bytes of the pixel centre (1/2, 1/2)
-    anywhere. A centre draw is then dropped, counted as resampled and
-    replaced from the next chunk, as a per-sample redraw would.
+    wider than 64 bits or it holds a centre lane, px = py = 2^63: the pixel
+    centre (1/2, 1/2). The test is one carry per lane: px ^ 2^63 | py ^ 2^63
+    is below 2^64, and 0 only at the centre, so adding 2^64 - 1 sets bit 64
+    of every lane but a centre lane and never carries into the next. A
+    centre draw is then dropped, counted as resampled and replaced from the
+    next chunk, as a per-sample redraw would.
 
     Where every key fits one byte and D <= _BYTE_KEY_CLASSES, each chunk
     appends the low byte of each lane, its key, to one bytearray; at the
     block's end one translate through a 256-byte key -> class table, built
     by class_of_params over the (sa+1)(sc+1) keys a draw can reach, turns
-    them into classes, and one bytes.count per class counts them. Otherwise
-    each draw's key is counted, however wide, and each distinct key is
-    classified once by class_of_params.
+    them into classes, and one bytes.count per class but the last counts
+    them; the last class gets the block's samples the others leave.
+    Otherwise each draw's key is counted, however wide, and each distinct
+    key is classified once by class_of_params.
     """
     a, b, c, d = slopes_tuple
     slopes = Slopes(a, b, c, d)
@@ -181,7 +190,7 @@ def _count_block(slopes_tuple, seed, block, take):
     # lane value (ha + ceil(v / 2^64)) * 2^64 + r, 0 <= r < 2^64, for v = a*nx - b*ny
     off_a = (ha + 1) * _Q - 1 - (a - b) * _HALF_Q
     off_c = (hc + 1) * _Q - 1 - (c - d) * _HALF_Q
-    lanes = {}  # chunk size -> (offsets, beta mask and low-word mask repeated per lane)
+    lanes = {}  # chunk size -> (offsets, beta mask, low-word mask, 2^63, 2^64), each repeated per lane
     rng = random.Random(f"{seed}/{block}")
     keys = Counter()
     key_bytes = bytearray()
@@ -189,40 +198,45 @@ def _count_block(slopes_tuple, seed, block, take):
     while take:
         t = min(_CHUNK, take)
         draw = rng.getrandbits(128 * t)
-        raw = draw.to_bytes(16 * t, "little")
-        if not lanes_fit or _CENTRE in raw:
-            words = memoryview(raw).cast("Q")
-            kept = [(px, py) for px, py in zip(words[::2], words[1::2]) if px != _HALF_Q or py != _HALF_Q]
-            resampled += t - len(kept)
-            take -= len(kept)
-            ceilings = (threshold_ceilings(a, b, c, d, px, py, _Q) for px, py in kept)
-            chunk_keys = (alpha + ha | (beta + hc) << ka for alpha, beta in ceilings)
-            if byte_keys:
-                key_bytes += bytes(chunk_keys)
-            else:
-                keys.update(chunk_keys)
-            continue
-        take -= t
-        if t not in lanes:
-            ones = int.from_bytes((b"\1" + bytes(15)) * t, "little")
-            lanes[t] = (off_a * ones, off_c * ones, ((1 << kc) - 1) * ones, (_Q - 1) * ones)
-        lane_a, lane_c, mask_c, low = lanes[t]
-        px, py = draw & low, draw >> _Q_BITS & low
-        del draw, raw  # lowers the peak heap of the lane arithmetic below
-        alphas = (lane_a + a * px - b * py) >> _Q_BITS
-        betas = ((lane_c + c * px - d * py) >> _Q_BITS) & mask_c
-        packed = (alphas | betas << ka).to_bytes(16 * t, "little")
+        if lanes_fit:
+            if t not in lanes:
+                ones = int.from_bytes((b"\1" + bytes(15)) * t, "little")
+                lanes[t] = (
+                    off_a * ones, off_c * ones, (((1 << kc) - 1) << ka) * ones,
+                    (_Q - 1) * ones, _HALF_Q * ones, _Q * ones,
+                )
+            lane_a, lane_c, mask_c, low, halves, carries = lanes[t]
+            px, py = draw & low, draw >> _Q_BITS & low
+            if ((px ^ halves | py ^ halves) + low) & carries == carries:  # no centre lane
+                take -= t
+                del draw  # lowers the peak heap of the lane arithmetic below
+                alphas = (lane_a + a * px - b * py) >> _Q_BITS
+                betas = ((lane_c + c * px - d * py) >> (_Q_BITS - ka)) & mask_c
+                packed = (alphas | betas).to_bytes(16 * t, "little")
+                if byte_keys:
+                    key_bytes += packed[::16]
+                else:
+                    keys.update(memoryview(packed).cast("Q")[::2])
+                continue
+        words = memoryview(draw.to_bytes(16 * t, "little")).cast("Q")
+        kept = [(px, py) for px, py in zip(words[::2], words[1::2]) if px != _HALF_Q or py != _HALF_Q]
+        resampled += t - len(kept)
+        take -= len(kept)
+        ceilings = (threshold_ceilings(a, b, c, d, px, py, _Q) for px, py in kept)
+        chunk_keys = (alpha + ha | (beta + hc) << ka for alpha, beta in ceilings)
         if byte_keys:
-            key_bytes += packed[::16]
+            key_bytes += bytes(chunk_keys)
         else:
-            keys.update(memoryview(packed).cast("Q")[::2])
+            keys.update(chunk_keys)
     if byte_keys:
         table = bytearray(256)  # key -> class; keys no draw reaches stay 0
         for ia in range(sa + 1):
             for ib in range(sc + 1):
                 table[ia | ib << ka] = class_of_params(slopes, ia - ha, ib - hc)
         classes = key_bytes.translate(table)
-        return [classes.count(j) for j in range(slopes.count)], resampled
+        counts = [classes.count(j) for j in range(slopes.count - 1)]
+        counts.append(len(classes) - sum(counts))
+        return counts, resampled
     counts = [0] * slopes.count
     for key, cnt in keys.items():
         alpha, beta = (key & ((1 << ka) - 1)) - ha, (key >> ka) - hc
@@ -235,6 +249,9 @@ def sample_class_frequencies(
 ) -> ClassHistogram:
     """Classify n uniform corners; deterministic in (n, seed), independent of
     workers because randomness is tied to fixed-size blocks of the index range."""
+    for name, value in (("n", n), ("seed", seed)):
+        if type(value) is bool or not isinstance(value, int):
+            raise TypeError(f"{name} must be an int, not {type(value).__name__}")
     if n < 1:
         raise ValueError("need n >= 1")
     big_d = slopes.count

@@ -67,6 +67,15 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_class_frequencies(P_SLOPES, 0, seed=1)
 
+    @pytest.mark.parametrize(
+        "n, seed, name",
+        [(1000, 1.5, "seed"), (1000, True, "seed"), (1000, "5", "seed"), (1000.0, 5, "n"), (True, 5, "n")],
+    )
+    def test_rejects_n_and_seed_other_than_int(self, n, seed, name):
+        # a float or bool seed used to be sampled as the text "1.5/0" or "True/0"
+        with pytest.raises(TypeError, match=f"^{name} must be an int"):
+            sample_class_frequencies(P_SLOPES, n, seed)
+
     def test_rough_uniformity_small_run(self):
         hist = sample_class_frequencies(Q_SLOPES, 50000, seed=42)
         assert hist.passed
@@ -307,6 +316,37 @@ class TestPixelCentreRedraw:
         assert got[1] == len(hits)
         assert sum(got[0]) == n
 
+    @pytest.mark.parametrize("pair", [(2, 1, -3, 1), (7, 8, -8, 7)])
+    def test_only_chunks_with_a_centre_lane_go_draw_by_draw(self, monkeypatch, pair):
+        chunk = verify._CHUNK
+        n = 3 * chunk + 7
+        rng = random.Random(4)
+        draws = [(rng.getrandbits(64), rng.getrandbits(64)) for _ in range(n + 2)]
+        # chunk 0, near misses only: px central, py central, py of one draw
+        # then px of the next, and one off the centre in either coordinate
+        draws[1] = (HALF_Q, draws[1][1])
+        draws[2] = (draws[2][0], HALF_Q)
+        draws[3], draws[4] = (draws[3][0], HALF_Q), (HALF_Q, draws[4][1])
+        draws[5:9] = [(HALF_Q, HALF_Q + 1), (HALF_Q, HALF_Q - 1), (HALF_Q + 1, HALF_Q), (HALF_Q - 1, HALF_Q)]
+        # chunk 1 holds a centre in its last lane, so chunk 2 is 1024..1535 and
+        # the short final chunk, 1536..1543, holds one in lane 0; 1544 replaces it
+        draws[2 * chunk - 1] = (HALF_Q, HALF_Q)
+        draws[3 * chunk] = (HALF_Q, HALF_Q)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return threshold_ceilings(*args)
+
+        monkeypatch.setattr("pixelwedge.verify.random.Random", ScriptedRandom)
+        monkeypatch.setattr(ScriptedRandom, "script", words_of(draws))
+        monkeypatch.setattr("pixelwedge.verify.threshold_ceilings", counted)
+        got = verify._count_block(pair, 0, 0, n)
+        assert got == scalar_count_block(pair, 0, 0, n)
+        assert got[1] == 2
+        # the kept draws of chunk 1 and of the short chunk, and no others
+        assert [args[4:6] for args in calls] == draws[chunk:2 * chunk - 1] + draws[3 * chunk + 1:3 * chunk + 8]
+
     def test_more_centre_draws_than_samples(self, monkeypatch):
         rng = random.Random(3)
         draws = [(HALF_Q, HALF_Q)] * 1100 + [(rng.getrandbits(64), rng.getrandbits(64)) for _ in range(10)]
@@ -349,6 +389,20 @@ class TestVerdict:
         assert hist.passed
         assert hist.table().endswith("(0 dof): PASS")
         assert hist.to_json_dict()["pass"] is True
+
+    def test_verdict_at_the_threshold_fails(self):
+        # D = 2 gives n * chi-square = (c0 - c1)^2, so with n = Q * 10^6 and
+        # c0 - c1 = Q the exact chi-square is Q / 10^6, the threshold itself
+        q = 10827566
+        assert round(chi2_q999(1) * 10**6) == q
+        n = q * 10**6
+
+        def hist(counts):
+            chisq = sum((c - n / 2) ** 2 / (n / 2) for c in counts)
+            return verify.ClassHistogram((1, 1, -1, 1), n, 0, counts, chisq)
+
+        assert not hist(((n + q) // 2, (n - q) // 2)).passed
+        assert hist(((n + q) // 2 - 1, (n - q) // 2 + 1)).passed
 
     def test_verdict_beyond_old_table(self):
         slopes = Slopes(13, 1, -13, 1)
