@@ -78,7 +78,8 @@ class _Frozen:
 
 
 class Slopes(_Frozen):
-    """Two directed slopes a/b and c/d, each pair coprime, lines not parallel.
+    """Two directed slopes a/b and c/d, each pair coprime, lines not parallel;
+    a bool entry raises TypeError.
 
     The sign of each pair selects one of the two half-planes its line bounds;
     negating (a, b) or (c, d) picks the opposite one, so all four corner
@@ -93,6 +94,8 @@ class Slopes(_Frozen):
     __slots__ = __match_args__ + ("det", "count", "bezout")
 
     def __init__(self, a: int, b: int, c: int, d: int):
+        if type(a) is bool or type(b) is bool or type(c) is bool or type(d) is bool:
+            raise TypeError(f"slope entries must be ints, not bool: {a!r}, {b!r}, {c!r}, {d!r}")
         for p, q, name in ((a, b, "first"), (c, d, "second")):
             if math.gcd(p, q) != 1:
                 raise ValueError(f"{name} slope pair ({p}, {q}) is not coprime")
@@ -123,7 +126,8 @@ class Slopes(_Frozen):
 
 
 class AngleSpec(_Frozen):
-    """An angular region: corner point plus the two directed slope pairs.
+    """An angular region: corner point plus the two directed slope pairs. A
+    corner that is not a pair (x, y) raises TypeError.
 
     The integer kernels read the corner as `xyq`, the triple (x, y, q) with
     corner == (x/q, y/q) over the least common denominator q > 0. Like the
@@ -137,7 +141,11 @@ class AngleSpec(_Frozen):
     def __init__(self, a: int, b: int, c: int, d: int, corner: Point):
         # validates coprimality and det; kept, so `slopes` is a plain read
         slopes = Slopes(a, b, c, d)
-        x, y = Fraction(corner[0]), Fraction(corner[1])
+        try:
+            x, y = corner
+        except (TypeError, ValueError):
+            raise TypeError(f"corner must be a pair (x, y), not {corner!r}") from None
+        x, y = Fraction(x), Fraction(y)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)

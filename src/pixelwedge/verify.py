@@ -72,9 +72,10 @@ _Q = 1 << _Q_BITS
 _HALF_Q = 1 << (_Q_BITS - 1)
 _WIDE_KEY_WORK = 32  # what `sample_work` counts for a draw-by-draw sample (see cli.VERIFY_WORK_LIMIT)
 # the largest D whose one-byte keys are counted by class: per block of 2^15 keys,
-# Counter.update takes ~2.1 ms, while collecting the key bytes takes ~60 us, mapping
-# them to classes ~25 us and bytes.count ~30 us per class (2 CPUs, Python 3.11.7),
-# so they break even near D = 67; whole blocks broke even between D = 60 and 70
+# the Counter path's to_bytes take ~0.5 ms and Counter.update ~1.3 ms, while
+# gathering the key bytes takes ~0.17 ms, mapping them to classes ~20 us and
+# bytes.count ~17 us per class (2 CPUs, Python 3.11.7); whole blocks break even
+# between D = 64 and 80
 _BYTE_KEY_CLASSES = 64
 
 
@@ -149,6 +150,13 @@ class ClassHistogram:
         return "\n".join(lines)
 
 
+def _pending_key_bytes(acc: int, acc_n: int, t: int) -> bytes:
+    """The key bytes of acc_n < 16 chunks of t lanes gathered as acc << 8 | key:
+    lane j's keys, the last chunk's first, are bytes 16j + 8 onwards."""
+    packed = acc.to_bytes(16 * t + 8, "little")
+    return b"".join(packed[i::16] for i in range(8, 8 + acc_n))
+
+
 def _count_block(slopes_tuple, seed, block, take):
     """Classify `take` dyadic-rational corners from one seeded block.
 
@@ -157,11 +165,11 @@ def _count_block(slopes_tuple, seed, block, take):
     getrandbits(64) calls. Where the key alpha | beta << ka fits one 64-bit
     word, px and py are masked straight out of the draw integer, and
     off + a*px - b*py stays in [0, (|a|+|b|+1) * 2^64), so it never borrows
-    across lanes: one shift then gives every lane's ceiling of
-    (a*nx - b*ny) / 2^64, offset by (|a|+|b|) // 2, in its low ka bits, and
-    the next lane's low word in its top 64. The key lies below that word, so
-    only beta needs a mask: shifted by 64 - ka instead of 64, it lands in
-    place above alpha, and each lane's low word is its key.
+    across lanes: bits 64 to 64 + ka of each lane hold its ceiling of
+    (a*nx - b*ny) / 2^64, offset by (|a|+|b|) // 2. Beta's offset, c and d
+    are scaled by 2^ka once per block, so its ceiling lies in bits 64 + ka
+    to 64 + ka + kc, still inside the lane, and two masks and an OR give
+    every lane's key in its high word, where the multiplies left it.
 
     A chunk goes draw by draw, through threshold_ceilings, when its keys are
     wider than 64 bits or it holds a centre lane, px = py = 2^63: the pixel
@@ -171,12 +179,16 @@ def _count_block(slopes_tuple, seed, block, take):
     centre draw is then dropped, counted as resampled and replaced from the
     next chunk, as a per-sample redraw would.
 
-    Where every key fits one byte and D <= _BYTE_KEY_CLASSES, each chunk
-    appends the low byte of each lane, its key, to one bytearray; at the
-    block's end one translate through a 256-byte key -> class table, built
-    by class_of_params over the (sa+1)(sc+1) keys a draw can reach, turns
-    them into classes, and one bytes.count per class but the last counts
-    them; the last class gets the block's samples the others leave.
+    Where every key fits one byte and D <= _BYTE_KEY_CLASSES, up to 16
+    chunks of one size gather in one integer, acc << 8 | key, which puts
+    lane j's keys in bytes 16j + 8 to 16j + 23 and never lets two meet; a
+    full group goes to one bytearray with one to_bytes, and a partial one,
+    at a change of chunk size or at the block's end, by one strided slice
+    per chunk. At the block's end one translate through a 256-byte key ->
+    class table, built by class_of_params over the (sa+1)(sc+1) keys a draw
+    can reach, turns the bytes into classes, and one bytes.count per class
+    but the last counts them; the last class gets the block's samples the
+    others leave. Draw-by-draw chunks append their key bytes directly.
     Otherwise each draw's key is counted, however wide, and each distinct
     key is classified once by class_of_params.
     """
@@ -187,13 +199,16 @@ def _count_block(slopes_tuple, seed, block, take):
     ka, kc = sa.bit_length(), sc.bit_length()  # bits of alpha and beta in a key
     lanes_fit = _lanes_fit(a, b, c, d)
     byte_keys = ka + kc <= 8 and slopes.count <= _BYTE_KEY_CLASSES
-    # lane value (ha + ceil(v / 2^64)) * 2^64 + r, 0 <= r < 2^64, for v = a*nx - b*ny
+    # lane value (ha + ceil(v / 2^64)) * 2^64 + r, 0 <= r < 2^64, for v = a*nx - b*ny;
+    # beta's lane is scaled by 2^ka, so that its ceiling lies just above alpha's
     off_a = (ha + 1) * _Q - 1 - (a - b) * _HALF_Q
-    off_c = (hc + 1) * _Q - 1 - (c - d) * _HALF_Q
-    lanes = {}  # chunk size -> (offsets, beta mask, low-word mask, 2^63, 2^64), each repeated per lane
+    off_c = ((hc + 1) * _Q - 1 - (c - d) * _HALF_Q) << ka
+    c_ka, d_ka = c << ka, d << ka
+    lanes = {}  # chunk size -> (offsets, alpha and beta masks, low-word mask, 2^63, 2^64), each repeated per lane
     rng = random.Random(f"{seed}/{block}")
     keys = Counter()
     key_bytes = bytearray()
+    acc = acc_n = acc_t = 0  # the keys of acc_n chunks of acc_t lanes, one byte above the next
     resampled = 0
     while take:
         t = min(_CHUNK, take)
@@ -202,21 +217,26 @@ def _count_block(slopes_tuple, seed, block, take):
             if t not in lanes:
                 ones = int.from_bytes((b"\1" + bytes(15)) * t, "little")
                 lanes[t] = (
-                    off_a * ones, off_c * ones, (((1 << kc) - 1) << ka) * ones,
-                    (_Q - 1) * ones, _HALF_Q * ones, _Q * ones,
+                    off_a * ones, off_c * ones, (((1 << ka) - 1) << _Q_BITS) * ones,
+                    (((1 << kc) - 1) << (_Q_BITS + ka)) * ones, (_Q - 1) * ones, _HALF_Q * ones, _Q * ones,
                 )
-            lane_a, lane_c, mask_c, low, halves, carries = lanes[t]
+            lane_a, lane_c, mask_a, mask_c, low, halves, carries = lanes[t]
             px, py = draw & low, draw >> _Q_BITS & low
             if ((px ^ halves | py ^ halves) + low) & carries == carries:  # no centre lane
                 take -= t
                 del draw  # lowers the peak heap of the lane arithmetic below
-                alphas = (lane_a + a * px - b * py) >> _Q_BITS
-                betas = ((lane_c + c * px - d * py) >> (_Q_BITS - ka)) & mask_c
-                packed = (alphas | betas).to_bytes(16 * t, "little")
-                if byte_keys:
-                    key_bytes += packed[::16]
-                else:
-                    keys.update(memoryview(packed).cast("Q")[::2])
+                key = (lane_a + a * px - b * py) & mask_a | (lane_c + c_ka * px - d_ka * py) & mask_c
+                if not byte_keys:
+                    keys.update(memoryview(key.to_bytes(16 * t, "little")).cast("Q")[1::2])
+                    continue
+                if t != acc_t:
+                    key_bytes += _pending_key_bytes(acc, acc_n, acc_t)
+                    acc, acc_n, acc_t = 0, 0, t
+                acc = acc << 8 | key
+                acc_n += 1
+                if acc_n == 16:
+                    key_bytes += acc.to_bytes(16 * t + 8, "little")[8:]
+                    acc = acc_n = 0
                 continue
         words = memoryview(draw.to_bytes(16 * t, "little")).cast("Q")
         kept = [(px, py) for px, py in zip(words[::2], words[1::2]) if px != _HALF_Q or py != _HALF_Q]
@@ -229,6 +249,7 @@ def _count_block(slopes_tuple, seed, block, take):
         else:
             keys.update(chunk_keys)
     if byte_keys:
+        key_bytes += _pending_key_bytes(acc, acc_n, acc_t)
         table = bytearray(256)  # key -> class; keys no draw reaches stay 0
         for ia in range(sa + 1):
             for ib in range(sc + 1):

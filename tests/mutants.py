@@ -1,0 +1,147 @@
+"""Source mutants that the tests must catch, and a runner that checks it.
+
+Each mutant replaces one exact text of a module in `src/pixelwedge` by
+another. `tests/test_mutants.py` checks that every old text still occurs
+exactly once, so the list cannot silently go stale. Running a mutant copies
+`src/`, `tests/` and `pyproject.toml` to a temporary directory, applies the
+replacement there, and runs the mutant's test targets with `pytest -x`; the
+mutant is killed when they fail, and survives when they pass.
+
+    python tests/mutants.py             # every mutant; exit 1 if one survives
+    python tests/mutants.py NAME ...    # only the named ones
+
+Equivalent mutants, such as another `_CHUNK` size (the random stream, and so
+every count, stays the same), are left out: no test can kill them.
+"""
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "pixelwedge"
+
+
+class Mutant(NamedTuple):
+    name: str
+    module: str  # file stem in src/pixelwedge
+    old: str  # occurs exactly once in the module
+    new: str
+    tests: tuple[str, ...]  # pytest targets, relative to the repository root
+    why: str
+
+
+VERIFY = ("tests/test_verify.py",)
+
+MUTANTS = [
+    Mutant(
+        "key-group-flush-at-15", "verify", "if acc_n == 16:", "if acc_n == 15:", VERIFY,
+        "a group of 15 chunks converted as 16 counts the empty 16th byte of each lane as key 0",
+    ),
+    Mutant(
+        "key-group-flush-at-17", "verify", "if acc_n == 16:", "if acc_n == 17:", VERIFY,
+        "a 17th chunk's keys land on the next lane's first chunk and are ORed into them",
+    ),
+    Mutant(
+        "beta-factors-not-pre-scaled", "verify", "c_ka, d_ka = c << ka, d << ka", "c_ka, d_ka = c, d", VERIFY,
+        "beta's offset is scaled by 2^ka and its px, py factors are not, so its ceiling is wrong",
+    ),
+    Mutant(
+        "beta-offset-not-pre-scaled", "verify",
+        "off_c = ((hc + 1) * _Q - 1 - (c - d) * _HALF_Q) << ka",
+        "off_c = ((hc + 1) * _Q - 1 - (c - d) * _HALF_Q)", VERIFY,
+        "beta's factors are scaled by 2^ka and its offset is not, so its ceiling is wrong",
+    ),
+    Mutant(
+        "beta-mask-one-bit-short", "verify",
+        "(((1 << kc) - 1) << (_Q_BITS + ka))", "(((1 << kc - 1) - 1) << (_Q_BITS + ka))", VERIFY,
+        "beta's top key bit is dropped, merging the keys beta + hc = 2^(kc-1) + j and j",
+    ),
+    Mutant(
+        "beta-mask-over-alpha", "verify",
+        "(((1 << kc) - 1) << (_Q_BITS + ka))", "(((1 << kc) - 1) << _Q_BITS)", VERIFY,
+        "the beta mask takes alpha's bits and the garbage below beta, not beta's ceiling",
+    ),
+    Mutant(
+        "no-key-group-flush-at-block-end", "verify",
+        "        key_bytes += _pending_key_bytes(acc, acc_n, acc_t)\n        table = bytearray(256)",
+        "        table = bytearray(256)", VERIFY,
+        "the keys of a block's last partial group are never counted",
+    ),
+    Mutant(
+        "no-key-group-flush-at-size-change", "verify", "if t != acc_t:", "if not acc_t:", VERIFY,
+        "a short chunk joins a group of full ones, whose flush reads its missing lanes as key 0",
+    ),
+    Mutant(
+        "partial-key-group-drops-a-chunk", "verify", "range(8, 8 + acc_n)", "range(9, 8 + acc_n)", VERIFY,
+        "a partial group's flush skips the keys of its last chunk",
+    ),
+    Mutant(
+        "full-key-group-drops-a-byte", "verify", 'acc.to_bytes(16 * t + 8, "little")[8:]',
+        'acc.to_bytes(16 * t + 8, "little")[9:]', VERIFY,
+        "a full group's flush loses one key",
+    ),
+    Mutant(
+        "centre-test-on-px-alone", "verify", "((px ^ halves | py ^ halves) + low)", "((px ^ halves) + low)", VERIFY,
+        "every chunk with a lane at px = 2^63 goes draw by draw, though only px = py = 2^63 is a centre",
+    ),
+    Mutant(
+        "centre-carries-at-bit-63", "verify", "_HALF_Q * ones, _Q * ones,", "_HALF_Q * ones, _HALF_Q * ones,", VERIFY,
+        "the carry test reads bit 63, so chunks without a centre lane go draw by draw",
+    ),
+    Mutant(
+        "byte-key-bound-65", "verify", "_BYTE_KEY_CLASSES = 64", "_BYTE_KEY_CLASSES = 65", VERIFY,
+        "D = 65 is counted by class, past the measured break-even",
+    ),
+    Mutant(
+        "verdict-at-threshold-passes", "verify", "< q * n", "<= q * n", VERIFY,
+        "a chi-square equal to the 0.999 quantile passes",
+    ),
+]
+
+
+def run(mutant: Mutant, timeout: float = 1200) -> int:
+    """pytest's exit code for `mutant.tests` on a copy with the mutant applied:
+    1 when a test fails (killed), 0 when every test passes (survived)."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        copy = Path(tmp)
+        skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+        shutil.copytree(ROOT / "src", copy / "src", ignore=skip)
+        shutil.copytree(ROOT / "tests", copy / "tests", ignore=skip)
+        shutil.copy(ROOT / "pyproject.toml", copy)
+        path = copy / "src" / "pixelwedge" / f"{mutant.module}.py"
+        text = path.read_text()
+        if text.count(mutant.old) != 1:
+            raise ValueError(f"{mutant.name}: old text occurs {text.count(mutant.old)} times in {mutant.module}.py")
+        path.write_text(text.replace(mutant.old, mutant.new))
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+        argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *mutant.tests]
+        return subprocess.run(argv, cwd=copy, env=env, capture_output=True, timeout=timeout).returncode
+
+
+def main(argv: list[str]) -> int:
+    names = {m.name for m in MUTANTS}
+    unknown = [name for name in argv if name not in names]
+    if unknown:
+        print(f"unknown mutant(s): {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    failed = 0
+    for m in MUTANTS:
+        if argv and m.name not in argv:
+            continue
+        start = time.perf_counter()
+        code = run(m)
+        verdict = {1: "killed", 0: "SURVIVED"}.get(code, f"ERROR (pytest exit {code})")
+        failed += code != 1
+        print(f"{verdict:<10} {m.name} ({time.perf_counter() - start:.1f} s)", flush=True)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -64,3 +64,18 @@ def test_frozen_value_type_contract(cls, fields, text):
 def test_render_options_keep_their_defaults():
     assert RenderOptions() == RenderOptions(format="ascii", scale=16, glyphs="#.")
     assert repr(RenderOptions(scale=2)) == "RenderOptions(format='ascii', scale=2, glyphs='#.')"
+
+
+@pytest.mark.parametrize("entries", [(True, 1, -3, 1), (2, 1, -3, False), (1, True, True, 0)])
+def test_slopes_refuse_bool_entries(entries):
+    # bool is an int subclass that gcd accepts: Slopes(True, 1, -3, 1) used to keep a=True
+    with pytest.raises(TypeError, match="^slope entries must be ints, not bool"):
+        Slopes(*entries)
+
+
+@pytest.mark.parametrize("corner", [(F(1, 3),), (F(1, 3), F(1, 2), F(0)), F(1, 3), None])
+def test_angle_spec_refuses_a_corner_that_is_not_a_pair(corner):
+    # (F(1, 3),) used to raise IndexError, and a triple kept its first two
+    with pytest.raises(TypeError, match="^corner must be a pair"):
+        AngleSpec(2, 1, -3, 1, corner)
+    assert AngleSpec(2, 1, -3, 1, [F(1, 3), 1]).corner == (F(1, 3), F(1))

@@ -227,6 +227,15 @@ class TestPackedKernel:
         for n in (1, 1000, 2049):
             assert sampled(pair, n, 5) == scalar_sample(pair, n, 5), n
 
+    @pytest.mark.parametrize("pair", BYTE_KEY_PAIRS[:2])
+    def test_key_groups_match_scalar_sampler(self, pair):
+        # byte keys gather in groups of 16 lane chunks: blocks that end one
+        # chunk short of, at and one past one and two full groups, and a short
+        # final chunk after a partial group
+        chunk = verify._CHUNK
+        for take in (15 * chunk, 16 * chunk, 17 * chunk, 31 * chunk, 32 * chunk, 33 * chunk, 17 * chunk + 7, 20 * chunk + 300):
+            assert verify._count_block(pair, 2, 0, take) == scalar_count_block(pair, 2, 0, take), take
+
     @pytest.mark.parametrize(
         "pair, by_class", [(p, True) for p in BYTE_KEY_PAIRS] + [(p, False) for p in COUNTED_KEY_PAIRS]
     )
@@ -346,6 +355,22 @@ class TestPixelCentreRedraw:
         assert got[1] == 2
         # the kept draws of chunk 1 and of the short chunk, and no others
         assert [args[4:6] for args in calls] == draws[chunk:2 * chunk - 1] + draws[3 * chunk + 1:3 * chunk + 8]
+
+    @pytest.mark.parametrize("centre_chunk", [15, 16])
+    def test_a_centre_chunk_leaves_a_pending_key_group_whole(self, monkeypatch, centre_chunk):
+        # byte keys gather in groups of 16 lane chunks; a chunk that goes draw
+        # by draw with 15 of them pending, or just after a full group, joins
+        # none, and the lane chunks after it fill the group as before
+        chunk = verify._CHUNK
+        n = 33 * chunk + 5
+        rng = random.Random(6)
+        draws = [(rng.getrandbits(64), rng.getrandbits(64)) for _ in range(n + 1)]
+        draws[centre_chunk * chunk + 100] = (HALF_Q, HALF_Q)
+        monkeypatch.setattr("pixelwedge.verify.random.Random", ScriptedRandom)
+        monkeypatch.setattr(ScriptedRandom, "script", words_of(draws))
+        got = verify._count_block((2, 1, -3, 1), 0, 0, n)
+        assert got == scalar_count_block((2, 1, -3, 1), 0, 0, n)
+        assert got[1] == 1
 
     def test_more_centre_draws_than_samples(self, monkeypatch):
         rng = random.Random(3)
