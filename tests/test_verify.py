@@ -233,7 +233,8 @@ class TestPackedKernel:
         # chunk short of, at and one past one and two full groups, and a short
         # final chunk after a partial group
         chunk = verify._CHUNK
-        for take in (15 * chunk, 16 * chunk, 17 * chunk, 31 * chunk, 32 * chunk, 33 * chunk, 17 * chunk + 7, 20 * chunk + 300):
+        takes = [k * chunk for k in (15, 16, 17, 31, 32, 33)] + [17 * chunk + 7, 20 * chunk + 300]
+        for take in takes:
             assert verify._count_block(pair, 2, 0, take) == scalar_count_block(pair, 2, 0, take), take
 
     @pytest.mark.parametrize(
