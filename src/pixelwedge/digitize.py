@@ -21,7 +21,7 @@ from .errors import (
     ParallelSlopes,
     PixelCenterHit,
 )
-from .exact import HALF, common_denominator, extended_gcd
+from .exact import HALF, common_denominator, extended_gcd, parse_rational
 
 Point = tuple[Fraction, Fraction]
 PixelIndex = tuple[int, int]
@@ -126,8 +126,11 @@ class Slopes(_Frozen):
 
 
 class AngleSpec(_Frozen):
-    """An angular region: corner point plus the two directed slope pairs. A
-    corner that is not a pair (x, y) raises TypeError.
+    """An angular region: corner point plus the two directed slope pairs.
+
+    The corner is a tuple or list (x, y) of ints, Fractions or rational
+    text, read as `parse_rational` reads the CLI's; any other corner or
+    coordinate, a float among them, raises TypeError.
 
     The integer kernels read the corner as `xyq`, the triple (x, y, q) with
     corner == (x/q, y/q) over the least common denominator q > 0. Like the
@@ -141,11 +144,13 @@ class AngleSpec(_Frozen):
     def __init__(self, a: int, b: int, c: int, d: int, corner: Point):
         # validates coprimality and det; kept, so `slopes` is a plain read
         slopes = Slopes(a, b, c, d)
-        try:
-            x, y = corner
-        except (TypeError, ValueError):
-            raise TypeError(f"corner must be a pair (x, y), not {corner!r}") from None
-        x, y = Fraction(x), Fraction(y)
+        if not isinstance(corner, (tuple, list)) or len(corner) != 2:
+            raise TypeError(f"corner must be a pair (x, y), not {corner!r}")
+        for v in corner:
+            if type(v) is bool or not isinstance(v, (int, Fraction, str)):
+                raise TypeError(f"corner coordinates must be int, Fraction or str, not {type(v).__name__}")
+        # a Fraction as it is, text through the CLI's grammar and limits, not Fraction's parser
+        x, y = (v if type(v) is Fraction else parse_rational(v) if isinstance(v, str) else Fraction(v) for v in corner)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)

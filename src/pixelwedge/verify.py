@@ -8,9 +8,10 @@ big-integer operations over 128-bit lanes, masked straight out of the draw
 integer, give every draw's class parameters as a 64-bit key. A chunk whose
 keys are wider than 64 bits, or which holds a pixel-centre draw (found by
 one carry test per lane), goes draw by draw through `threshold_ceilings`
-instead. Keys of one byte, at small D, are mapped to classes and counted
-by class; wider ones are counted by key. The random stream, and so every
-count, is the same as drawing and classifying one corner at a time.
+instead. Keys of one byte, at small D, are mapped to one-hot class bits
+and counted by class with a population count; wider ones are counted by
+key. The random stream, and so every count, is the same as drawing and
+classifying one corner at a time.
 """
 from __future__ import annotations
 
@@ -71,12 +72,13 @@ _Q_BITS = 64
 _Q = 1 << _Q_BITS
 _HALF_Q = 1 << (_Q_BITS - 1)
 _WIDE_KEY_WORK = 32  # what `sample_work` counts for a draw-by-draw sample (see cli.VERIFY_WORK_LIMIT)
-# the largest D whose one-byte keys are counted by class: per block of 2^15 keys,
-# the Counter path's to_bytes take ~0.5 ms and Counter.update ~1.3 ms, while
-# gathering the key bytes takes ~0.17 ms, mapping them to classes ~20 us and
-# bytes.count ~17 us per class (2 CPUs, Python 3.11.7); whole blocks break even
-# between D = 64 and 80
-_BYTE_KEY_CLASSES = 64
+# the largest D whose one-byte keys are counted by class: per block of 2^15
+# 8-bit keys, the byte path takes ~2.9 ms at D = 16 and ~22 us more per class
+# (per group of 8 classes a translate, ~13 us, and an int.from_bytes, ~29 us;
+# per class an AND and an int.bit_count, ~18 us), the Counter path ~4.0 ms at
+# any D; whole blocks read 3.98 against 4.06 ms at D = 65, even at D = 66 and
+# 67, and 4.04 against 3.98 ms at D = 69 (min of 7, 2 CPUs, Python 3.11.7)
+_BYTE_KEY_CLASSES = 66
 
 
 def _lanes_fit(a: int, b: int, c: int, d: int) -> bool:
@@ -157,6 +159,13 @@ def _pending_key_bytes(acc: int, acc_n: int, t: int) -> bytes:
     return b"".join(packed[i::16] for i in range(8, 8 + acc_n))
 
 
+@lru_cache(maxsize=2)  # a run's blocks have at most two lengths: _BLOCK and its last block's
+def _byte_bit_masks(size: int) -> tuple[int, ...]:
+    """For k = 0 to 7, the `size`-byte integer with bit k of every byte set."""
+    ones = int.from_bytes(b"\1" * size, "little")
+    return tuple(ones << k for k in range(8))
+
+
 def _count_block(slopes_tuple, seed, block, take):
     """Classify `take` dyadic-rational corners from one seeded block.
 
@@ -184,11 +193,15 @@ def _count_block(slopes_tuple, seed, block, take):
     lane j's keys in bytes 16j + 8 to 16j + 23 and never lets two meet; a
     full group goes to one bytearray with one to_bytes, and a partial one,
     at a change of chunk size or at the block's end, by one strided slice
-    per chunk. At the block's end one translate through a 256-byte key ->
-    class table, built by class_of_params over the (sa+1)(sc+1) keys a draw
-    can reach, turns the bytes into classes, and one bytes.count per class
-    but the last counts them; the last class gets the block's samples the
-    others leave. Draw-by-draw chunks append their key bytes directly.
+    per chunk. At the block's end the classes are counted by popcount, in
+    groups of 8: class_of_params over the (sa+1)(sc+1) keys a draw can reach
+    builds, per group g, a 256-byte table mapping a key of class j in the
+    group to the one-hot byte 1 << (j - 8g) and every other key to 0. One
+    translate through it and one int.from_bytes read the block's keys as one
+    integer, and each class of the group is one AND with a mask holding its
+    bit in every byte and one int.bit_count. Every class but the last is
+    counted so; the last gets the block's samples the others leave.
+    Draw-by-draw chunks append their key bytes directly.
     Otherwise each draw's key is counted, however wide, and each distinct
     key is classified once by class_of_params.
     """
@@ -250,13 +263,19 @@ def _count_block(slopes_tuple, seed, block, take):
             keys.update(chunk_keys)
     if byte_keys:
         key_bytes += _pending_key_bytes(acc, acc_n, acc_t)
-        table = bytearray(256)  # key -> class; keys no draw reaches stay 0
+        counted = slopes.count - 1  # the last class gets the samples the others leave
+        one_hot = [bytearray(256) for _ in range(0, counted, 8)]  # per group of 8 classes: key -> class bit
         for ia in range(sa + 1):
             for ib in range(sc + 1):
-                table[ia | ib << ka] = class_of_params(slopes, ia - ha, ib - hc)
-        classes = key_bytes.translate(table)
-        counts = [classes.count(j) for j in range(slopes.count - 1)]
-        counts.append(len(classes) - sum(counts))
+                j = class_of_params(slopes, ia - ha, ib - hc)
+                if j < counted:
+                    one_hot[j // 8][ia | ib << ka] = 1 << j % 8
+        masks = _byte_bit_masks(len(key_bytes))
+        counts = []
+        for g, table in enumerate(one_hot):
+            bits = int.from_bytes(key_bytes.translate(table), "little")
+            counts += [(bits & mask).bit_count() for mask in masks[: counted - 8 * g]]
+        counts.append(len(key_bytes) - sum(counts))
         return counts, resampled
     counts = [0] * slopes.count
     for key, cnt in keys.items():

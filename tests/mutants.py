@@ -70,8 +70,8 @@ MUTANTS = [
     ),
     Mutant(
         "no-key-group-flush-at-block-end", "verify",
-        "        key_bytes += _pending_key_bytes(acc, acc_n, acc_t)\n        table = bytearray(256)",
-        "        table = bytearray(256)", VERIFY,
+        "        key_bytes += _pending_key_bytes(acc, acc_n, acc_t)\n        counted = ",
+        "        counted = ", VERIFY,
         "the keys of a block's last partial group are never counted",
     ),
     Mutant(
@@ -96,8 +96,26 @@ MUTANTS = [
         "the carry test reads bit 63, so chunks without a centre lane go draw by draw",
     ),
     Mutant(
-        "byte-key-bound-65", "verify", "_BYTE_KEY_CLASSES = 64", "_BYTE_KEY_CLASSES = 65", VERIFY,
-        "D = 65 is counted by class, past the measured break-even",
+        "byte-key-bound-67", "verify", "_BYTE_KEY_CLASSES = 66", "_BYTE_KEY_CLASSES = 67", VERIFY,
+        "D = 67 is counted by class, past the measured break-even",
+    ),
+    Mutant(
+        "popcount-group-stride-7", "verify",
+        "one_hot[j // 8][ia | ib << ka] = 1 << j % 8", "one_hot[j // 7][ia | ib << ka] = 1 << j % 7", VERIFY,
+        "the tables put 7 classes in a group and the counts read 8, so classes shift groups or overrun the list",
+    ),
+    Mutant(
+        "popcount-mask-shifted-one-bit", "verify", "ones << k for k in range(8)",
+        "ones << k + 1 for k in range(8)", VERIFY,
+        "each class is counted as the next one's bit, the group's last as the next byte's first",
+    ),
+    Mutant(
+        "popcount-last-group-skipped", "verify", "enumerate(one_hot)", "enumerate(one_hot[:-1])", VERIFY,
+        "the classes of the last group are never counted, so the last class takes their samples",
+    ),
+    Mutant(
+        "popcount-table-one-class-off", "verify", "= 1 << j % 8", "= 1 << (j + 1) % 8", VERIFY,
+        "a key of class j sets the bit of class j + 1, and the group's last class that of its first",
     ),
     Mutant(
         "verdict-at-threshold-passes", "verify", "< q * n", "<= q * n", VERIFY,

@@ -79,3 +79,32 @@ def test_angle_spec_refuses_a_corner_that_is_not_a_pair(corner):
     with pytest.raises(TypeError, match="^corner must be a pair"):
         AngleSpec(2, 1, -3, 1, corner)
     assert AngleSpec(2, 1, -3, 1, [F(1, 3), 1]).corner == (F(1, 3), F(1))
+
+
+@pytest.mark.parametrize("corner", ["12", {"0.5": 0, "0.25": 1}, iter([F(1, 3), 1])])
+def test_angle_spec_takes_a_corner_only_as_a_tuple_or_list(corner):
+    # "12" used to be the corner (1, 2), and a dict gave its keys
+    with pytest.raises(TypeError, match="^corner must be a pair"):
+        AngleSpec(2, 1, -3, 1, corner)
+
+
+@pytest.mark.parametrize(
+    "corner, kind", [((0.3, F(1, 10)), "float"), ((F(1, 3), True), "bool"), ((None, 1), "NoneType"), ((1, 1j), "complex")]
+)
+def test_angle_spec_refuses_coordinates_other_than_int_fraction_or_text(corner, kind):
+    # a float used to be read as its binary value: (0.3, 0.1) is class 2, (3/10, 1/10) class 1
+    with pytest.raises(TypeError, match=f"^corner coordinates must be int, Fraction or str, not {kind}$"):
+        AngleSpec(2, 1, -3, 1, corner)
+
+
+def test_angle_spec_reads_corner_text_as_the_cli_does():
+    assert AngleSpec(2, 1, -3, 1, ("0.3", "0.7")).corner == (F(3, 10), F(7, 10))
+    assert AngleSpec(2, 1, -3, 1, [" 1/-2", "2"]).corner == (F(-1, 2), F(2))
+    assert AngleSpec(2, 1, -3, 1, (3, F(1, 4))).corner == (F(3), F(1, 4))
+    # parse_rational's limits, which Fraction's own parser does not keep
+    with pytest.raises(ValueError, match="past the limit"):
+        AngleSpec(2, 1, -3, 1, ("1e301", "0"))
+    with pytest.raises(ValueError, match="over the limit"):
+        AngleSpec(2, 1, -3, 1, ("0." + "1" * 300, "0"))
+    with pytest.raises(ValueError, match="zero denominator"):
+        AngleSpec(2, 1, -3, 1, ("1/0", "0"))

@@ -191,17 +191,28 @@ WIDE_PAIRS = [
 
 
 # pairs on each side of the byte-key selection: keys of at most 8 bits and
-# D <= verify._BYTE_KEY_CLASSES (64) are counted by class, the rest by key
+# D <= verify._BYTE_KEY_CLASSES (66) are counted by class, the rest by key
 BYTE_KEY_PAIRS = [
     (2, 1, -3, 1),  # D = 5: keys of 5 bits
     (-15, -7, -5, -2),  # D = 5: keys of 8 bits
-    (1, 4, -15, 4),  # D = 64: keys of 8 bits
+    (-1, 5, 13, 1),  # D = 66: keys of 7 bits
 ]
 COUNTED_KEY_PAIRS = [
-    (1, 4, -14, 9),  # D = 65: keys of 8 bits
+    (-1, 6, 11, 1),  # D = 67: keys of 7 bits
     (7, 8, -8, 7),  # D = 113: keys of 8 bits
     (-15, -7, -5, -3),  # D = 10: keys of 9 bits
     (16, 1, -1, 16),  # D = 257: keys of 10 bits
+]
+# byte-key pairs at the edges of the popcount's groups of 8 classes, which
+# count the D - 1 classes but the last: none at D = 1, three groups, the
+# third one class short, at D = 24 and full at D = 25, four likewise at
+# D = 32 and 33; BYTE_KEY_PAIRS holds the bound's, nine groups at D = 66
+GROUP_EDGE_PAIRS = [
+    (2, 1, 1, 1),  # D = 1
+    (-3, 4, 3, 4),  # D = 24
+    (5, 2, -5, 3),  # D = 25, the largest D of the benchmark's sample workload
+    (-1, 6, 5, 2),  # D = 32
+    (-2, 5, 5, 4),  # D = 33
 ]
 
 
@@ -213,12 +224,12 @@ def sampled(pair, n, seed):
 class TestPackedKernel:
     def test_all_small_pairs_match_scalar_sampler(self):
         assert len(SMALL_PAIRS) == 960
-        for pair in SMALL_PAIRS + BYTE_KEY_PAIRS + COUNTED_KEY_PAIRS:
+        for pair in SMALL_PAIRS + BYTE_KEY_PAIRS + COUNTED_KEY_PAIRS + GROUP_EDGE_PAIRS:
             for n in (1, 1000):
                 assert sampled(pair, n, 3) == scalar_sample(pair, n, 3), (pair, n)
 
     def test_block_boundaries_match_scalar_sampler(self):
-        for pair in SMALL_PAIRS[::20] + BYTE_KEY_PAIRS + COUNTED_KEY_PAIRS:
+        for pair in SMALL_PAIRS[::20] + BYTE_KEY_PAIRS + COUNTED_KEY_PAIRS + GROUP_EDGE_PAIRS:
             for n in (32767, 32769):
                 assert sampled(pair, n, 9) == scalar_sample(pair, n, 9), (pair, n)
 
@@ -238,7 +249,10 @@ class TestPackedKernel:
             assert verify._count_block(pair, 2, 0, take) == scalar_count_block(pair, 2, 0, take), take
 
     @pytest.mark.parametrize(
-        "pair, by_class", [(p, True) for p in BYTE_KEY_PAIRS] + [(p, False) for p in COUNTED_KEY_PAIRS]
+        "pair, by_class",
+        [(p, True) for p in BYTE_KEY_PAIRS]
+        + [(p, False) for p in COUNTED_KEY_PAIRS]
+        + [(p, True) for p in GROUP_EDGE_PAIRS],
     )
     def test_byte_keys_are_counted_by_class(self, monkeypatch, pair, by_class):
         a, b, c, d = pair
