@@ -73,19 +73,16 @@ def test_slopes_refuse_bool_entries(entries):
         Slopes(*entries)
 
 
-@pytest.mark.parametrize("corner", [(F(1, 3),), (F(1, 3), F(1, 2), F(0)), F(1, 3), None])
+@pytest.mark.parametrize(
+    "corner",
+    [(F(1, 3),), (F(1, 3), F(1, 2), F(0)), F(1, 3), None, "12", {"0.5": 0, "0.25": 1}, iter([F(1, 3), 1])],
+)
 def test_angle_spec_refuses_a_corner_that_is_not_a_pair(corner):
-    # (F(1, 3),) used to raise IndexError, and a triple kept its first two
+    # (F(1, 3),) used to raise IndexError, a triple kept its first two,
+    # "12" was the corner (1, 2) and a dict gave its keys
     with pytest.raises(TypeError, match="^corner must be a pair"):
         AngleSpec(2, 1, -3, 1, corner)
     assert AngleSpec(2, 1, -3, 1, [F(1, 3), 1]).corner == (F(1, 3), F(1))
-
-
-@pytest.mark.parametrize("corner", ["12", {"0.5": 0, "0.25": 1}, iter([F(1, 3), 1])])
-def test_angle_spec_takes_a_corner_only_as_a_tuple_or_list(corner):
-    # "12" used to be the corner (1, 2), and a dict gave its keys
-    with pytest.raises(TypeError, match="^corner must be a pair"):
-        AngleSpec(2, 1, -3, 1, corner)
 
 
 @pytest.mark.parametrize(
