@@ -44,6 +44,20 @@ def round_nearest(r: Fraction | int) -> int:
     return math.floor(r + HALF)
 
 
+def read_point(point, name: str = "point") -> Point:
+    """A tuple or list (x, y) of int, Fraction or rational-text coordinates,
+    read exactly: a Fraction as it is, text by `parse_rational` with the
+    CLI's grammar and limits. Any other point or coordinate, a float or a
+    bool among them, raises TypeError."""
+    if not isinstance(point, (tuple, list)) or len(point) != 2:
+        raise TypeError(f"{name} must be a pair (x, y), not {point!r}")
+    for v in point:
+        if type(v) is bool or not isinstance(v, (int, Fraction, str)):
+            raise TypeError(f"{name} coordinates must be int, Fraction or str, not {type(v).__name__}")
+    x, y = (v if type(v) is Fraction else parse_rational(v) if isinstance(v, str) else Fraction(v) for v in point)
+    return x, y
+
+
 class _Frozen:
     """Base of the frozen slotted value types. Eq, hash and repr read the
     declared fields, `__match_args__`, and no other slot; assignment and
@@ -128,9 +142,9 @@ class Slopes(_Frozen):
 class AngleSpec(_Frozen):
     """An angular region: corner point plus the two directed slope pairs.
 
-    The corner is a tuple or list (x, y) of ints, Fractions or rational
-    text, read as `parse_rational` reads the CLI's; any other corner or
-    coordinate, a float among them, raises TypeError.
+    The corner is read by `read_point`: a tuple or list (x, y) of ints,
+    Fractions or rational text; any other corner or coordinate, a float
+    among them, raises TypeError.
 
     The integer kernels read the corner as `xyq`, the triple (x, y, q) with
     corner == (x/q, y/q) over the least common denominator q > 0. Like the
@@ -144,13 +158,7 @@ class AngleSpec(_Frozen):
     def __init__(self, a: int, b: int, c: int, d: int, corner: Point):
         # validates coprimality and det; kept, so `slopes` is a plain read
         slopes = Slopes(a, b, c, d)
-        if not isinstance(corner, (tuple, list)) or len(corner) != 2:
-            raise TypeError(f"corner must be a pair (x, y), not {corner!r}")
-        for v in corner:
-            if type(v) is bool or not isinstance(v, (int, Fraction, str)):
-                raise TypeError(f"corner coordinates must be int, Fraction or str, not {type(v).__name__}")
-        # a Fraction as it is, text through the CLI's grammar and limits, not Fraction's parser
-        x, y = (v if type(v) is Fraction else parse_rational(v) if isinstance(v, str) else Fraction(v) for v in corner)
+        x, y = read_point(corner, "corner")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
@@ -272,9 +280,10 @@ def digitize_polyline(points: list[Point]) -> GridPath:
     on which the rounded point is constant; each crossing contributes the unit
     edge between the rounded positions on either side. Interior vertices may
     sit on half-integer lines (the sweep sees them as ordinary events), but
-    the two path endpoints must round unambiguously.
+    the two path endpoints must round unambiguously. Each vertex is read by
+    `read_point`, so a float coordinate raises TypeError.
     """
-    pts = [(Fraction(x), Fraction(y)) for x, y in points]
+    pts = [read_point(p) for p in points]
     if len(pts) < 2 or any(pts[i] == pts[i + 1] for i in range(len(pts) - 1)):
         raise ValueError("polyline needs distinct consecutive vertices")
     for end in (pts[0], pts[-1]):

@@ -14,7 +14,7 @@ import functools
 import math
 from fractions import Fraction
 
-from .digitize import Point, Slopes, _Frozen
+from .digitize import Point, Slopes, _Frozen, read_point
 from .errors import PartitionBoundary
 from .exact import common_denominator, format_rational
 
@@ -210,8 +210,9 @@ class PartitionLocator:
         return [(cell.index, frag) for cell in self.cells for frag in cell_fragments(cell)]
 
     def locate(self, x, y) -> int:
-        """Class index of the cell whose interior contains (x mod 1, y mod 1)."""
-        fx, fy = Fraction(x), Fraction(y)
+        """Class index of the cell whose interior contains (x mod 1, y mod 1).
+        Coordinates are read by `read_point`: a float raises TypeError."""
+        fx, fy = read_point((x, y))
         x, y, q = common_denominator(fx, fy)
         px, py = x % q, y % q
         a, b, c, d = self.slopes.as_tuple()

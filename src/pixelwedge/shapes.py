@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 
 from .digitize import AngleSpec, PixelIndex, Slopes, _Frozen, threshold_ceilings, window_columns
 from .errors import InvalidAxis
@@ -166,41 +165,43 @@ def class_signatures(slopes: Slopes, window: int | None = None) -> tuple[int, li
 
 def _bitmaps(sigs: list[Columns]) -> list[PixelSet]:
     """Canonical pixel sets of column tables, built from one grid of (m, n)
-    tuples that all share; rows shift to canonical in slices and comparisons.
+    tuples that all share; rows shift to canonical in slices.
 
-    Neighbouring classes differ in few pixels. One mutable working set
-    carries a class's pixels into the next when both have the same column
-    list: each run that moved from [lo0, hi0] to [lo1, hi1] toggles the rows
-    between the two lows and between the two highs in place, which is exact
-    also for disjoint runs, and the class is frozen from it, one table copy
-    that reuses the stored hashes. A table with another column list than the
-    one before it is built from its runs, and the working set is taken from
-    it only once a class follows with the same column list.
+    Neighbouring classes differ in few pixels, so one mutable working set
+    walks from each class to the next: each column whose canonical rows moved
+    from [lo0, hi0] to [lo1, hi1] toggles the rows between the two lows and
+    between the two highs in place, where they differ, which is exact for
+    any two runs with lo <= hi + 1, disjoint ones too. An empty column,
+    (0, -1), takes the other side's low, so only the run that appears or
+    vanishes is toggled. Each class is frozen from the working set, one
+    table copy that reuses the stored hashes.
     """
     shifts = [_row_shift(sig) for sig in sigs]
     width = 1 + max(sig[-1][0] for sig in sigs)
     height = 1 + max(hi + s for sig, s in zip(sigs, shifts) for _, _, hi in sig)
     grid = [[(m, n) for n in range(height)] for m in range(width)]
     out: list[PixelSet] = []
-    work: set | None = None
-    prev_sig, prev_cols, s0 = (), None, 0
-    for sig, s1 in zip(sigs, shifts):
-        cols = [m for m, _, _ in sig]
-        if cols == prev_cols:
-            if work is None:
-                work = set(out[-1])
-            k = s1 - s0  # canonical rows agree where lo0 - lo1 == k
-            for (m, lo0, hi0), (_, lo1, hi1) in zip(prev_sig, sig):
-                if lo0 - lo1 != k or hi0 - hi1 != k:
-                    col = grid[m]
-                    lo0, hi0, lo1, hi1 = lo0 + s0, hi0 + s0, lo1 + s1, hi1 + s1
+    work: set = set()
+    empty = (0, -1)
+    prev = [empty] * width
+    for sig, s in zip(sigs, shifts):
+        rows = [empty] * width
+        for m, lo, hi in sig:
+            rows[m] = (lo + s, hi + s)
+        for m, r0, r1 in zip(range(width), prev, rows):
+            if r0 != r1:
+                (lo0, hi0), (lo1, hi1) = r0, r1
+                if hi0 < lo0:
+                    lo0, hi0 = lo1, lo1 - 1
+                elif hi1 < lo1:
+                    lo1, hi1 = lo0, lo0 - 1
+                col = grid[m]
+                if lo0 != lo1:
                     work.symmetric_difference_update(col[min(lo0, lo1) : max(lo0, lo1)])
+                if hi0 != hi1:
                     work.symmetric_difference_update(col[min(hi0, hi1) + 1 : max(hi0, hi1) + 1])
-            out.append(frozenset(work))
-        else:
-            work = None
-            out.append(frozenset(chain.from_iterable(grid[m][lo + s1 : hi + s1 + 1] for m, lo, hi in sig)))
-        prev_sig, prev_cols, s0 = sig, cols, s1
+        out.append(frozenset(work))
+        prev = rows
     return out
 
 

@@ -11,7 +11,10 @@ mutant is killed when they fail, and survives when they pass.
     python tests/mutants.py NAME ...    # only the named ones
 
 Equivalent mutants, such as another `_CHUNK` size (the random stream, and so
-every count, stays the same), are left out: no test can kill them.
+every count, stays the same) or a `_bitmaps` walk whose empty column side
+keeps the low 0 or that toggles an end that did not move (each toggles rows
+twice or toggles nothing, exact but slower), are left out: no test can kill
+them.
 """
 from __future__ import annotations
 
@@ -38,6 +41,9 @@ class Mutant(NamedTuple):
 
 
 VERIFY = ("tests/test_verify.py",)
+SHAPES = ("tests/test_shapes.py",)
+FLOAT_FREE = ("tests/test_float_free.py",)
+VALUE_TYPES = ("tests/test_value_types.py",)
 
 MUTANTS = [
     Mutant(
@@ -120,6 +126,46 @@ MUTANTS = [
     Mutant(
         "verdict-at-threshold-passes", "verify", "< q * n", "<= q * n", VERIFY,
         "a chi-square equal to the 0.999 quantile passes",
+    ),
+    Mutant(
+        "bitmap-empty-side-one-row", "shapes",
+        "lo0, hi0 = lo1, lo1 - 1\n                elif hi1 < lo1:\n                    lo1, hi1 = lo0, lo0 - 1",
+        "lo0, hi0 = lo1, lo1\n                elif hi1 < lo1:\n                    lo1, hi1 = lo0, lo0", SHAPES,
+        "an empty column side is the one-row run (lo, lo), so a run that appears or vanishes misses its lowest row",
+    ),
+    Mutant(
+        "bitmap-high-toggle-off-by-one", "shapes",
+        "col[min(hi0, hi1) + 1 : max(hi0, hi1) + 1]", "col[min(hi0, hi1) : max(hi0, hi1)]", SHAPES,
+        "the high toggle flips the rows one below the ones between the two highs",
+    ),
+    Mutant(
+        "bitmap-working-set-unfrozen", "shapes", "out.append(frozenset(work))", "out.append(work)", SHAPES,
+        "every class is the one working set, which ends as the last class's pixels",
+    ),
+    Mutant(
+        "threshold-ceiling-true-division", "digitize", "-((b * v - a * u) // (2 * q))",
+        "-((b * v - a * u) / (2 * q))", FLOAT_FREE + SHAPES,
+        "alpha's ceiling is a float quotient, neither exact nor an integer",
+    ),
+    Mutant(
+        "class-of-params-through-float", "shapes", "return (beta - k0 * slopes.c + l0 * slopes.d) % slopes.count",
+        "return int(float(beta - k0 * slopes.c + l0 * slopes.d)) % slopes.count", FLOAT_FREE,
+        "a float enters the class formula, which rounds past 2^53",
+    ),
+    Mutant(
+        "frozen-without-reduce", "digitize", "    def __reduce__(self):\n        return type(self), self._fields\n", "",
+        VALUE_TYPES,
+        "pickle and copy restore the slots by assignment, which the frozen types refuse",
+    ),
+    Mutant(
+        "fingerprint-from-anchor", "digitize", "origin = m0, n0 = m, lo", "origin = m0, n0 = am, an",
+        ("tests/test_shapes.py::TestFingerprintStrength",),
+        "runs start at the anchor, not the first pixel, so a table's first column is not 0",
+    ),
+    Mutant(
+        "point-reader-takes-bool", "digitize", "if type(v) is bool or not isinstance(", "if not isinstance(",
+        VALUE_TYPES,
+        "a bool coordinate is read as 0 or 1",
     ),
 ]
 

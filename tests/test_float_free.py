@@ -32,7 +32,7 @@ FRACTION_ALLOWED = {
     "cli.parse_corner",  # the corner text
     "digitize (import)",
     "digitize.Point",  # the public corner type
-    "digitize.AngleSpec.__init__",  # the corner as given, kept beside its integer form
+    "digitize.read_point",  # a corner or point as given, read exactly
     "digitize.is_half_integer",
     "digitize.round_nearest",
     "digitize._crossing_params",  # the Fraction polyline sweep, until its integer stepper
@@ -48,7 +48,6 @@ FRACTION_ALLOWED = {
     "partition (import)",
     "partition.Parallelogram.area",  # the exact area, for exact_class_areas
     "partition.cell_fragments",  # the public fragments as Fraction polygons
-    "partition.PartitionLocator.locate",  # reads its input, writes the refusal text
     "shapes (import)",
     "shapes.region_params",  # the exact thresholds
     "shapes.reflection_symmetric",

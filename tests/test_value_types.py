@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from pixelwedge import AngleSpec, Parallelogram, RenderOptions, Slopes
+from pixelwedge import AngleSpec, Parallelogram, PartitionLocator, RenderOptions, Slopes, digitize_polyline
 from pixelwedge.shapes import RegionParams
 
 CASES = [
@@ -73,31 +73,56 @@ def test_slopes_refuse_bool_entries(entries):
         Slopes(*entries)
 
 
+# the library's point readers, each called with a pair where its corner or
+# vertex goes, and the name its refusals give that pair
+PAIR_READERS = [
+    ("corner", lambda p: AngleSpec(2, 1, -3, 1, p)),
+    ("point", lambda p: digitize_polyline([p, (2, F(1, 3))])),
+]
+
+
 @pytest.mark.parametrize(
     "corner",
     [(F(1, 3),), (F(1, 3), F(1, 2), F(0)), F(1, 3), None, "12", {"0.5": 0, "0.25": 1}, iter([F(1, 3), 1])],
 )
 def test_angle_spec_refuses_a_corner_that_is_not_a_pair(corner):
-    # (F(1, 3),) used to raise IndexError, a triple kept its first two,
-    # "12" was the corner (1, 2) and a dict gave its keys
-    with pytest.raises(TypeError, match="^corner must be a pair"):
-        AngleSpec(2, 1, -3, 1, corner)
+    # (F(1, 3),) used to raise IndexError in AngleSpec and an unpacking
+    # ValueError in digitize_polyline, a triple kept its first two, "12" was
+    # the point (1, 2) and a dict gave its keys
+    for name, read in PAIR_READERS:
+        with pytest.raises(TypeError, match=f"^{name} must be a pair"):
+            read(corner)
     assert AngleSpec(2, 1, -3, 1, [F(1, 3), 1]).corner == (F(1, 3), F(1))
+    assert digitize_polyline([[F(1, 3), 1], (2, F(1, 3))]) == digitize_polyline([(F(1, 3), 1), (2, F(1, 3))])
 
 
 @pytest.mark.parametrize(
-    "corner, kind", [((0.3, F(1, 10)), "float"), ((F(1, 3), True), "bool"), ((None, 1), "NoneType"), ((1, 1j), "complex")]
+    "corner, kind",
+    [
+        ((0.3, F(1, 10)), "float"),
+        ((F(1, 3), True), "bool"),
+        ((None, 1), "NoneType"),
+        ((1, 1j), "complex"),
+        ((0.3, 0.1), "float"),
+        ((True, F(1, 7)), "bool"),
+    ],
 )
 def test_angle_spec_refuses_coordinates_other_than_int_fraction_or_text(corner, kind):
-    # a float used to be read as its binary value: (0.3, 0.1) is class 2, (3/10, 1/10) class 1
-    with pytest.raises(TypeError, match=f"^corner coordinates must be int, Fraction or str, not {kind}$"):
-        AngleSpec(2, 1, -3, 1, corner)
+    # a float used to be read as its binary value: (0.3, 0.1) is class 2, (3/10,
+    # 1/10) class 1, and `locate(0.3, 0.1)` answered 2 where `locate` refuses
+    # the boundary corner (3/10, 1/10); `locate` read True as 1
+    readers = [*PAIR_READERS, ("point", lambda p: PartitionLocator(Slopes(2, 1, -3, 1)).locate(*p))]
+    for name, read in readers:
+        with pytest.raises(TypeError, match=f"^{name} coordinates must be int, Fraction or str, not {kind}$"):
+            read(corner)
 
 
 def test_angle_spec_reads_corner_text_as_the_cli_does():
     assert AngleSpec(2, 1, -3, 1, ("0.3", "0.7")).corner == (F(3, 10), F(7, 10))
     assert AngleSpec(2, 1, -3, 1, [" 1/-2", "2"]).corner == (F(-1, 2), F(2))
     assert AngleSpec(2, 1, -3, 1, (3, F(1, 4))).corner == (F(3), F(1, 4))
+    locator = PartitionLocator(Slopes(2, 1, -3, 1))
+    assert locator.locate("0.1", " 71/100") == locator.locate(F(1, 10), F(71, 100))
     # parse_rational's limits, which Fraction's own parser does not keep
     with pytest.raises(ValueError, match="past the limit"):
         AngleSpec(2, 1, -3, 1, ("1e301", "0"))
